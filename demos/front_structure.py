@@ -9,12 +9,13 @@ mutually incomparable inner points whose size can exceed the front size once
 the block length is large enough.
 """
 
-from emoabench import ProblemInstance, incomparable_family, pareto_front
+from emoabench import ProblemInstance, incomparable_family
+from emoabench.benchmarks import incomparable_family_instance
 
 
 def show_front(n: int, m: int, k: int) -> None:
     inst = ProblemInstance.mojzj(n, m, k)
-    front = pareto_front(inst)
+    front = inst.pareto_front()
     nprime = 2 * n // m
     formula = (nprime - 2 * k + 3) ** (m // 2)
     print(f"n={n} m={m} k={k}: front size {len(front.points)} "
@@ -24,14 +25,14 @@ def show_front(n: int, m: int, k: int) -> None:
 
 
 def show_incomparable(nprime: int, count: int) -> None:
-    k = 2
     family = incomparable_family(nprime, count)
-    inst = ProblemInstance.mojzj(2 * nprime, 4, k)
-    front_size = len(pareto_front(inst).points)
-    print(f"\nblock length {nprime}: {len(family)} mutually incomparable "
-          f"inner points vs front size {front_size}")
+    inst = incomparable_family_instance(nprime)
+    print(f"\nblock length {nprime}, k={inst.k}: {len(family)} mutually incomparable "
+          f"inner points vs front size {inst.pareto_front().size}")
     for x in family:
-        print(f"  {x}  ->  {inst.evaluate(x)}")
+        # bit i of the packed genome is position i+1 of the string
+        bits = format(x, f"0{inst.n}b")[::-1]
+        print(f"  {bits}  ->  {inst.evaluate_mask(x)}")
 
 
 def main() -> None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from emoabench.variation import (
     heavy_tailed_flip_probability,
+    power_law,
     standard_flip_probability,
 )
 
@@ -31,14 +32,12 @@ def analytic_table(n: int, beta: float) -> None:
 
 def monte_carlo_check(n: int, beta: float, k: int, draws: int) -> None:
     rng = np.random.default_rng(12345)
-    from emoabench.variation import PowerLawDistribution, sample_alpha
-
-    dist = PowerLawDistribution(n // 2, beta)
+    dist = power_law(n, beta)  # alpha on {1, ..., n/2}
     target = np.zeros(n, dtype=bool)
     target[:k] = True
     hits = 0
     for _ in range(draws):
-        alpha = sample_alpha(dist, rng)
+        alpha = dist.sample(rng)
         flips = rng.random(n) < alpha / n
         if np.array_equal(flips, target):
             hits += 1

@@ -1,14 +1,7 @@
 """Hypervolume-based steady-state EMO algorithms on pseudo-Boolean jump
 benchmarks, with exact brute-force oracles and a runtime-experiment harness."""
 
-from .algorithms import (
-    AlgorithmConfig,
-    RunRecord,
-    auto_mu,
-    coverage_fraction,
-    gsemo_run,
-    sms_emoa_run,
-)
+from .algorithms import AlgorithmConfig, RunRecord, auto_mu, gsemo_run, sms_emoa_run
 from .benchmarks import (
     FrontDescriptor,
     ProblemInstance,
@@ -16,20 +9,10 @@ from .benchmarks import (
     inner_level,
     is_inner_pareto_optimum,
     is_pareto_optimal,
-    jump,
     parse_problem,
-    pareto_front,
 )
 from .bounds import bound_value
-from .core import (
-    BitString,
-    Individual,
-    ObjectiveVector,
-    dominates,
-    incomparable,
-    ones_count,
-    weakly_dominates,
-)
+from .core import ObjectiveVector, dominates, incomparable, weakly_dominates
 from .harness import ExperimentSpec, ResultRow, run_experiment, summarize
 from .oracle import (
     OracleBudget,
@@ -38,23 +21,19 @@ from .oracle import (
     hv_monte_carlo,
     verify_antichain,
 )
-from .selection import (
-    FrontPartition,
-    default_reference_point,
-    fast_nondominated_sort,
-    hv_contribution,
-    hypervolume,
-    survivor_select_standard,
-    survivor_select_stochastic,
-)
-from .variation import (
-    MutationOperator,
-    PowerLawDistribution,
-    mutate_heavy_tailed,
-    mutate_standard,
-    sample_alpha,
-    select_parent_uniform,
-)
+from .selection import default_reference_point, hv_contribution, hypervolume
+from .variation import MutationOperator, PowerLawDistribution
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlgorithmConfig", "RunRecord", "auto_mu", "gsemo_run", "sms_emoa_run",
+    "FrontDescriptor", "ProblemInstance", "incomparable_family", "inner_level",
+    "is_inner_pareto_optimum", "is_pareto_optimal", "parse_problem",
+    "bound_value",
+    "ObjectiveVector", "dominates", "incomparable", "weakly_dominates",
+    "ExperimentSpec", "ResultRow", "run_experiment", "summarize",
+    "OracleBudget", "brute_force_front", "hv_inclusion_exclusion", "hv_monte_carlo",
+    "verify_antichain",
+    "default_reference_point", "hv_contribution", "hypervolume",
+    "MutationOperator", "PowerLawDistribution",
+]
 __version__ = "0.1.0"

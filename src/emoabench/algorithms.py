@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import bounds
 from .benchmarks import FrontDescriptor, ProblemInstance, inner_level
-from .core import BitString, Individual, dominates, weakly_dominates
+from .core import dominates, weakly_dominates
 from .selection import SteadyStateSelector, default_reference_point
 from .variation import MutationOperator
 
@@ -116,14 +114,13 @@ class _CoverageTracker:
             if c == 1:
                 self.covered += 1
 
-    def remove(self, obj: tuple[int, ...], count_loss: bool = True) -> None:
+    def remove(self, obj: tuple[int, ...]) -> None:
         if obj in self.front:
             c = self.counts[obj] - 1
             self.counts[obj] = c
             if c == 0:
                 self.covered -= 1
-                if count_loss:
-                    self.violations += 1
+                self.violations += 1
 
     def record(self, iteration: int) -> None:
         if not self.trajectory or self.trajectory[-1][1] != self.covered:
@@ -154,10 +151,19 @@ def sms_emoa_run(
         else default_max_iterations(inst, cfg, mu)
     )
     n, m = inst.n, inst.m
-    if cfg.refpoint is not None and len(cfg.refpoint) != m:
-        raise ValueError(
-            f"reference point has {len(cfg.refpoint)} coordinates, problem has {m}"
-        )
+    if cfg.refpoint is not None:
+        if len(cfg.refpoint) != m:
+            raise ValueError(
+                f"reference point has {len(cfg.refpoint)} coordinates, problem has {m}"
+            )
+        # every benchmark objective is >= 0: a coordinate >= 0 leaves some
+        # attainable vector not strictly dominating r, which makes the
+        # contributions meaningless
+        if any(c >= 0 for c in cfg.refpoint):
+            raise ValueError(
+                f"reference point {cfg.refpoint} must be negative in every "
+                "coordinate: objective values start at 0"
+            )
     r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(m)
     front = inst.pareto_front()
     track_inner = inst.kind == "mojzj"
@@ -169,16 +175,12 @@ def sms_emoa_run(
     level_hist = [0] * (m // 2 + 1)
     inner_traj: list[tuple[int, int]] = []
 
-    def level_of(mask: int) -> int:
-        np_, k = inst.nprime, inst.k
-        return sum(1 for c in inst.block_ones(mask) if k <= c <= np_ - k)
-
     for i in range(mu):
         t = inst.evaluate_mask(genomes[i])
         tuples[i] = t
         cov.add(t)
         if track_inner:
-            levels[i] = level_of(genomes[i])
+            levels[i] = inner_level(genomes[i], inst)
             level_hist[levels[i]] += 1
     tuples[mu] = tuples[0]
     cov.record(0)
@@ -206,7 +208,7 @@ def sms_emoa_run(
             selector.set_offspring(cobj)
             cov.add(cobj)
             if track_inner:
-                levels[free] = level_of(child)
+                levels[free] = inner_level(child, inst)
                 level_hist[levels[free]] += 1
 
             if stochastic:
@@ -331,14 +333,3 @@ def gsemo_run(
         antichain_violations=antichain_violations,
     )
 
-
-def run(inst: ProblemInstance, cfg: AlgorithmConfig, rng=None) -> RunRecord:
-    if cfg.algo == "gsemo":
-        return gsemo_run(inst, cfg, rng)
-    return sms_emoa_run(inst, cfg, rng)
-
-
-def coverage_fraction(population: Sequence[Individual], front: FrontDescriptor) -> Fraction:
-    """|f(P) intersect F*| / |F*| as an exact rational."""
-    attained = {ind.objectives for ind in population}
-    return Fraction(len(attained & front.points), len(front.points))

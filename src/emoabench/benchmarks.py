@@ -7,7 +7,7 @@ All are maximization problems with non-negative integer objectives.
 For ``mojzj`` the n bits split into m/2 blocks of length n' = 2n/m; block i
 drives the objective pair (f_{2i-1}, f_{2i}) via the jump function applied
 to the block and to its complement.  The Pareto front has the closed form
-generated by :func:`pareto_front`, of size (n' - 2k + 3)^(m/2).
+generated by :meth:`ProblemInstance.pareto_front`, of size (n' - 2k + 3)^(m/2).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import BitString, Individual, ObjectiveVector
+from .core import ObjectiveVector
 
 KINDS = ("mojzj", "momm", "omm", "lotz")
 
@@ -26,13 +26,6 @@ def jump_value(ones: int, nprime: int, k: int) -> int:
     if ones <= nprime - k or ones == nprime:
         return k + ones
     return nprime - ones
-
-
-def jump(y: BitString, k: int) -> int:
-    """Jump benchmark on a bit string; k is the gap size."""
-    if not 1 <= k <= y.n:
-        raise ValueError(f"gap size k={k} out of range [1..{y.n}]")
-    return jump_value(y.ones_count(), y.n, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +106,7 @@ class ProblemInstance:
         return [((mask >> (i * np_)) & bm).bit_count() for i in range(self.m // 2)]
 
     def evaluate_mask(self, mask: int) -> ObjectiveVector:
-        """Objective vector of a packed genome (low-level fast path)."""
+        """Objective vector of a packed genome."""
         if self.kind == "mojzj":
             np_, k = self.nprime, self.k
             out: list[int] = []
@@ -137,14 +130,6 @@ class ProblemInstance:
         trailing = self.n - mask.bit_length()
         return (min(leading, self.n), trailing if mask else self.n)
 
-    def evaluate(self, x: BitString) -> ObjectiveVector:
-        if x.n != self.n:
-            raise ValueError(f"genome length {x.n} does not match problem size {self.n}")
-        return self.evaluate_mask(x.mask)
-
-    def individual(self, x: BitString) -> Individual:
-        return Individual(x, self.evaluate(x))
-
     def pareto_front(self) -> FrontDescriptor:
         return _pareto_front(self)
 
@@ -154,26 +139,6 @@ class ProblemInstance:
         if self.kind == "momm":
             return f"momm:n={self.n},m={self.m}"
         return f"{self.kind}:n={self.n}"
-
-
-def eval_mojzj(x: BitString, inst: ProblemInstance) -> ObjectiveVector:
-    if inst.kind != "mojzj":
-        raise ValueError(f"expected a mojzj instance, got {inst.kind}")
-    return inst.evaluate(x)
-
-
-def eval_momm(x: BitString, inst: ProblemInstance) -> ObjectiveVector:
-    if inst.kind != "momm":
-        raise ValueError(f"expected a momm instance, got {inst.kind}")
-    return inst.evaluate(x)
-
-
-def eval_oneminmax(x: BitString) -> ObjectiveVector:
-    return ProblemInstance.oneminmax(x.n).evaluate(x)
-
-
-def eval_lotz(x: BitString) -> ObjectiveVector:
-    return ProblemInstance.lotz(x.n).evaluate(x)
 
 
 @lru_cache(maxsize=None)
@@ -200,37 +165,33 @@ def _pareto_front(inst: ProblemInstance) -> FrontDescriptor:
     return FrontDescriptor(frozenset((i, inst.n - i) for i in range(inst.n + 1)))
 
 
-def pareto_front(inst: ProblemInstance) -> FrontDescriptor:
-    return inst.pareto_front()
-
-
 def _require_mojzj(inst: ProblemInstance) -> None:
     if inst.kind != "mojzj":
         raise ValueError(f"operation defined for mojzj instances only, got {inst.kind}")
 
 
-def is_pareto_optimal(x: BitString, inst: ProblemInstance) -> bool:
+def is_pareto_optimal(mask: int, inst: ProblemInstance) -> bool:
     """Block characterization: every block count in [k..n'-k] or extreme."""
     _require_mojzj(inst)
     np_, k = inst.nprime, inst.k
-    return all(c in (0, np_) or k <= c <= np_ - k for c in inst.block_ones(x.mask))
+    return all(c in (0, np_) or k <= c <= np_ - k for c in inst.block_ones(mask))
 
 
-def is_inner_pareto_optimum(x: BitString, inst: ProblemInstance) -> bool:
+def is_inner_pareto_optimum(mask: int, inst: ProblemInstance) -> bool:
     """Pareto optimum with no all-zero or all-one block."""
     _require_mojzj(inst)
     np_, k = inst.nprime, inst.k
-    return all(k <= c <= np_ - k for c in inst.block_ones(x.mask))
+    return all(k <= c <= np_ - k for c in inst.block_ones(mask))
 
 
-def inner_level(x: BitString, inst: ProblemInstance) -> int:
+def inner_level(mask: int, inst: ProblemInstance) -> int:
     """Number of blocks whose ones-count lies in [k..n'-k]."""
     _require_mojzj(inst)
     np_, k = inst.nprime, inst.k
-    return sum(1 for c in inst.block_ones(x.mask) if k <= c <= np_ - k)
+    return sum(1 for c in inst.block_ones(mask) if k <= c <= np_ - k)
 
 
-def incomparable_family(nprime: int, count: int) -> list[BitString]:
+def incomparable_family(nprime: int, count: int) -> list[int]:
     """Pairwise-incomparable witnesses for the 4-objective, k = n'/2 instance.
 
     Member i is 1^i 0^(n'-i) 1^(n'/2+i) 0^(n'/2-i) and has objective value
@@ -242,11 +203,7 @@ def incomparable_family(nprime: int, count: int) -> list[BitString]:
     k = nprime // 2
     if not 1 <= count <= k - 1:
         raise ValueError(f"count={count} out of range [1..{k - 1}]")
-    out = []
-    for i in range(1, count + 1):
-        bits = [1] * i + [0] * (nprime - i) + [1] * (nprime // 2 + i) + [0] * (nprime // 2 - i)
-        out.append(BitString.from_bits(bits))
-    return out
+    return [((1 << i) - 1) | (((1 << (k + i)) - 1) << nprime) for i in range(1, count + 1)]
 
 
 def incomparable_family_instance(nprime: int) -> ProblemInstance:

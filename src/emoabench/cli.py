@@ -4,11 +4,11 @@ Subcommands:
 
 - ``run``    execute seeded repetitions of one algorithm on one problem,
              write a CSV, print summary statistics and (optionally) the
-             closed-form bound report
+             closed-form bound report; exits 2 on any failed bound
 - ``verify`` run the brute-force oracle suite; exits 2 on any mismatch
 - ``front``  print the closed-form Pareto front of a problem
 
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error, 2 verification or bound failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .algorithms import AlgorithmConfig
 from .benchmarks import parse_problem
-from .harness import ExperimentSpec, build_bound_report, run_experiment, summarize
+from .harness import ExperimentSpec, run_experiment, summarize
 from .oracle import OracleBudget, run_verification
 from .variation import MutationOperator
 
@@ -29,7 +29,7 @@ VERIFY_ERROR = 2
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; this harness reserves 2
-    # for verification failures
+    # for verification and bound failures
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -139,18 +139,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"mean_iters={summary.mean_iterations:.1f} median={summary.median_iterations:.1f} "
         f"ci95_half={summary.ci_half_width:.1f}"
     )
-    if report is None and args.bounds:
-        report = build_bound_report(spec, rows)
+    if summary.censored:
+        print(
+            f"note: mean, median and ci95 cover only the "
+            f"{summary.repetitions - summary.censored} uncensored repetitions"
+        )
+    failed = False
     if report is not None:
         for row in report.rows:
             status = "pass" if row.passed else "FAIL"
+            failed |= not row.passed
             print(
                 f"bound[{row.theorem}]: closed-form={row.bound:.1f} "
                 f"mean={row.empirical_mean:.1f} ci95_half={row.ci_half_width:.1f} -> {status}"
             )
     if out:
         print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return VERIFY_ERROR if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

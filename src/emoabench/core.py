@@ -1,94 +1,17 @@
 """Search-space and objective-space primitives.
 
-Bit strings are stored packed in a Python integer (bit ``i`` of the mask is
-position ``i+1`` of the string, so ``from_string("110...")`` reads left to
-right).  Objective vectors are plain tuples of ints; all benchmarks in this
-package are integer-valued, so dominance and hypervolume logic never touch
-floating point.
+Genomes are bit strings packed in a Python integer: bit ``i`` of the mask is
+position ``i+1`` of the string, so the string reads from the low bits up.
+Objective vectors are plain tuples of ints; all benchmarks in this package
+are integer-valued, so dominance and hypervolume logic never touch floating
+point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ObjectiveVector = tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class BitString:
-    """Fixed-length bit sequence, packed into an int for fast popcounts."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"bit string length must be positive, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        bits = list(bits)
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            mask |= b << i
-        return cls(len(bits), mask)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitString":
-        return cls.from_bits(int(c) for c in s)
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls(n, (1 << n) - 1)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.n))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.mask >> i) & 1
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def ones_count(self) -> int:
-        return self.mask.bit_count()
-
-    def complement(self) -> "BitString":
-        return BitString(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def slice(self, start: int, length: int) -> "BitString":
-        """Contiguous sub-string of ``length`` bits starting at position ``start``."""
-        if start < 0 or start + length > self.n:
-            raise ValueError(f"slice [{start}, {start + length}) out of range for n={self.n}")
-        return BitString(length, (self.mask >> start) & ((1 << length) - 1))
-
-    def flip(self, positions: Iterable[int]) -> "BitString":
-        flip_mask = 0
-        for p in positions:
-            if not 0 <= p < self.n:
-                raise ValueError(f"position {p} out of range")
-            flip_mask |= 1 << p
-        return BitString(self.n, self.mask ^ flip_mask)
-
-
-def ones_count(x: BitString) -> int:
-    """Number of 1-bits in x."""
-    return x.ones_count()
 
 
 def _check_same_length(u: Sequence[int], v: Sequence[int]) -> None:
@@ -118,10 +41,3 @@ def incomparable(u: Sequence[int], v: Sequence[int]) -> bool:
     """Neither vector weakly dominates the other."""
     return not weakly_dominates(u, v) and not weakly_dominates(v, u)
 
-
-@dataclass(frozen=True, slots=True)
-class Individual:
-    """A genome together with its cached objective values."""
-
-    genome: BitString
-    objectives: ObjectiveVector

@@ -15,12 +15,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds
-from .algorithms import AlgorithmConfig, RunRecord, gsemo_run, sms_emoa_run
+from .algorithms import AlgorithmConfig, RunRecord, auto_mu, gsemo_run, sms_emoa_run
 from .benchmarks import ProblemInstance
 
 CSV_HEADER = [
@@ -104,14 +104,6 @@ class Summary:
     ci_half_width: float
 
 
-def bound_value(theorem: str, inst: ProblemInstance, cfg: AlgorithmConfig) -> float:
-    """Closed-form iteration bound, with mu resolved from the config."""
-    from .algorithms import auto_mu
-
-    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
-    return bounds.bound_value(theorem, inst, mu)
-
-
 def applicable_theorems(inst: ProblemInstance, cfg: AlgorithmConfig) -> list[str]:
     if inst.kind == "omm":
         return ["omm"] if cfg.algo == "sms_emoa" else []
@@ -164,9 +156,11 @@ def build_bound_report(
     spec: ExperimentSpec, rows: Sequence[ResultRow]
 ) -> BoundReport:
     summary = summarize(rows)
+    inst, cfg = spec.problem, spec.config
+    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
     out = []
-    for theorem in applicable_theorems(spec.problem, spec.config):
-        b = bound_value(theorem, spec.problem, spec.config)
+    for theorem in applicable_theorems(inst, cfg):
+        b = bounds.bound_value(theorem, inst, mu)
         ci = 0.0 if math.isnan(summary.ci_half_width) else summary.ci_half_width
         passed = (
             summary.censored == 0
@@ -175,14 +169,6 @@ def build_bound_report(
         )
         out.append(BoundRow(theorem, b, summary.mean_iterations, ci, passed))
     return BoundReport(tuple(out))
-
-
-def write_csv(rows: Iterable[ResultRow], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_csv())
 
 
 def run_experiment(

@@ -1,10 +1,12 @@
 """Independent brute-force references.
 
 Everything here deliberately avoids the main code paths it checks: the
-front comes from exhaustive enumeration instead of the closed form, and the
+front comes from exhaustive enumeration instead of the closed form, the
 hypervolume from inclusion-exclusion or Monte-Carlo sampling instead of the
-dimension sweep.  The oracles ship in the library (not only in the tests)
-so the CLI ``verify`` subcommand can run self-verification on demand.
+dimension sweep, and the survivor choice from array-based front peeling and
+leave-one-out hypervolume instead of the incremental selector.  The oracles
+ship in the library (not only in the tests) so the CLI ``verify`` subcommand
+can run self-verification on demand.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import FrontDescriptor, ProblemInstance, incomparable_family_instance
-from .core import Individual, ObjectiveVector, incomparable, weakly_dominates
-from .selection import ReferencePoint
+from .benchmarks import (
+    FrontDescriptor,
+    ProblemInstance,
+    incomparable_family,
+    incomparable_family_instance,
+    is_pareto_optimal,
+)
+from .core import ObjectiveVector, incomparable, weakly_dominates
+from .selection import ReferencePoint, default_reference_point, hypervolume
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,9 +113,54 @@ def hv_monte_carlo(
     return est, se
 
 
-def verify_antichain(individuals: Sequence[Individual | ObjectiveVector]) -> bool:
+def front_indices(objectives: np.ndarray) -> list[np.ndarray]:
+    """Deb-style front peeling on an (N, m) integer array; returns index arrays.
+
+    dom[i, j] is True iff row i strictly dominates row j; with integer rows,
+    that is "i >= j everywhere and not j >= i everywhere".
+    """
+    n = objectives.shape[0]
+    ge = (objectives[:, None, :] >= objectives[None, :, :]).all(axis=2)
+    dom = ge & ~ge.T
+    counts = dom.sum(axis=0)
+    alive = np.ones(n, dtype=bool)
+    fronts: list[np.ndarray] = []
+    while alive.any():
+        current = alive & (counts == 0)
+        fronts.append(np.flatnonzero(current))
+        alive &= ~current
+        counts = counts - dom[current].sum(axis=0)
+    return fronts
+
+
+def select_removal_index(
+    objectives: np.ndarray,
+    r: ReferencePoint,
+    rng: np.random.Generator,
+    eligible: Sequence[int] | None = None,
+) -> int:
+    """Row index to remove from an (N, m) objective array: a last-front
+    member of least leave-one-out hypervolume, ties broken uniformly.
+
+    Sorting and contributions are restricted to the ascending rows in
+    ``eligible`` (defaults to all rows).  Tied candidates are listed in row
+    order and one ``rng.integers`` draw picks among them, so
+    :class:`~emoabench.selection.SteadyStateSelector` must make the same
+    choice from the same RNG stream.
+    """
+    rows = list(range(len(objectives))) if eligible is None else list(eligible)
+    last = [rows[i] for i in front_indices(objectives[rows])[-1]]
+    pts = [tuple(int(v) for v in objectives[i]) for i in last]
+    total = hypervolume(pts, r)
+    contribs = [total - hypervolume(pts[:i] + pts[i + 1 :], r) for i in range(len(pts))]
+    best = min(contribs)
+    candidates = [row for row, c in zip(last, contribs) if c == best]
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+def verify_antichain(vectors: Sequence[ObjectiveVector]) -> bool:
     """True iff all pairs of objective vectors are incomparable."""
-    vecs = [ind.objectives if isinstance(ind, Individual) else tuple(ind) for ind in individuals]
+    vecs = [tuple(v) for v in vectors]
     return all(
         incomparable(vecs[i], vecs[j])
         for i in range(len(vecs))
@@ -136,10 +189,6 @@ def random_antichain(
 def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> list[tuple[str, bool, str]]:
     """Cross-check the closed forms and the hypervolume engine; returns
     (check name, passed, detail) rows.  Used by the CLI ``verify`` subcommand."""
-    from . import selection
-    from .benchmarks import incomparable_family, is_pareto_optimal, pareto_front
-    from .core import BitString
-
     rng = np.random.default_rng(seed)
     results: list[tuple[str, bool, str]] = []
 
@@ -155,7 +204,7 @@ def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> li
     ok = True
     detail = ""
     for inst in cases:
-        closed = pareto_front(inst)
+        closed = inst.pareto_front()
         brute = brute_force_front(inst, budget)
         expect = (inst.nprime - 2 * inst.k + 3) ** (inst.m // 2)
         if closed.points != brute.points or closed.size != expect:
@@ -167,7 +216,7 @@ def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> li
     ok, detail = True, ""
     for inst in (ProblemInstance.mojzj(8, 4, 2), ProblemInstance.mojzj(10, 2, 3)):
         for mask in range(1 << inst.n):
-            a = is_pareto_optimal(BitString(inst.n, mask), inst)
+            a = is_pareto_optimal(mask, inst)
             b = brute_force_pareto_optimal(mask, inst, budget)
             if a != b:
                 ok, detail = False, f"membership mismatch at mask={mask} on {inst}"
@@ -181,8 +230,8 @@ def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> li
     for trial in range(200):
         m = int(rng.integers(2, 7))
         pts = random_antichain(rng, int(rng.integers(1, 11)), m)
-        r = selection.default_reference_point(m)
-        a = selection.hypervolume(pts, r)
+        r = default_reference_point(m)
+        a = hypervolume(pts, r)
         b = hv_inclusion_exclusion(pts, r)
         if a != b:
             ok, detail = False, f"HV mismatch on trial {trial}: {a} vs {b}"
@@ -194,7 +243,7 @@ def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> li
     for trial in range(5):
         m = int(rng.integers(2, 5))
         pts = random_antichain(rng, 8, m)
-        r = selection.default_reference_point(m)
+        r = default_reference_point(m)
         exact = hv_inclusion_exclusion(pts, r)
         est, se = hv_monte_carlo(pts, r, budget.mc_samples, rng)
         if abs(est - exact) > 4 * max(se, 1e-9):
@@ -205,7 +254,7 @@ def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> li
     # incomparable-family construction
     fam = incomparable_family(8, 3)
     inst = incomparable_family_instance(8)
-    vecs = [inst.evaluate(x) for x in fam]
+    vecs = [inst.evaluate_mask(x) for x in fam]
     ok = verify_antichain(vecs) and vecs == [(5, 1, 3, 7), (6, 2, 2, 6), (7, 3, 1, 5)]
     results.append(("incomparable family antichain", ok, f"f values {vecs}"))
 

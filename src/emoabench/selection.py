@@ -1,4 +1,4 @@
-"""Non-dominated sorting, exact hypervolume, and survivor selection.
+"""Exact hypervolume and the incremental survivor selector.
 
 The hypervolume is the Lebesgue measure of the union of boxes spanned
 between the reference point and each objective vector; with integer
@@ -12,12 +12,11 @@ be evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Individual, ObjectiveVector
+from .core import ObjectiveVector
 
 ReferencePoint = tuple[int, ...]
 
@@ -26,47 +25,6 @@ def default_reference_point(m: int) -> ReferencePoint:
     """All-(-1) point: every benchmark objective is >= 0, so each singleton
     has positive hypervolume."""
     return (-1,) * m
-
-
-@dataclass(frozen=True, slots=True)
-class FrontPartition:
-    """Ordered fronts F_1..F_i* of a non-dominated sorting."""
-
-    fronts: tuple[tuple[Individual, ...], ...]
-
-    @property
-    def last(self) -> tuple[Individual, ...]:
-        return self.fronts[-1]
-
-
-def front_indices(objectives: np.ndarray) -> list[np.ndarray]:
-    """Deb-style front peeling on an (N, m) integer array; returns index arrays.
-
-    dom[i, j] is True iff row i strictly dominates row j; with integer rows,
-    that is "i >= j everywhere and not j >= i everywhere".
-    """
-    n = objectives.shape[0]
-    ge = (objectives[:, None, :] >= objectives[None, :, :]).all(axis=2)
-    dom = ge & ~ge.T
-    counts = dom.sum(axis=0)
-    alive = np.ones(n, dtype=bool)
-    fronts: list[np.ndarray] = []
-    while alive.any():
-        current = alive & (counts == 0)
-        fronts.append(np.flatnonzero(current))
-        alive &= ~current
-        counts = counts - dom[current].sum(axis=0)
-    return fronts
-
-
-def fast_nondominated_sort(individuals: Sequence[Individual]) -> FrontPartition:
-    """Partition a multiset of individuals into dominance fronts."""
-    if len(individuals) == 0:
-        raise ValueError("cannot sort an empty multiset")
-    objs = np.array([ind.objectives for ind in individuals], dtype=np.int64)
-    return FrontPartition(
-        tuple(tuple(individuals[i] for i in idx) for idx in front_indices(objs))
-    )
 
 
 def hypervolume(points: Iterable[ObjectiveVector], r: ReferencePoint) -> int:
@@ -113,16 +71,15 @@ def _hv_2d(pts: list[ObjectiveVector], r: ReferencePoint) -> int:
     return total
 
 
-def hv_contribution(x: Individual, front: Sequence[Individual], r: ReferencePoint) -> int:
-    """HV(F) - HV(F without x); zero iff x's objective vector is duplicated
-    inside an antichain front."""
-    if not any(member is x for member in front):
-        raise ValueError("individual is not a member of the given front")
-    if sum(1 for member in front if member.objectives == x.objectives) > 1:
+def hv_contribution(points: Sequence[ObjectiveVector], index: int, r: ReferencePoint) -> int:
+    """HV(points) - HV(points without points[index]); zero iff that vector is
+    duplicated inside an antichain."""
+    pts = list(points)
+    if not 0 <= index < len(pts):
+        raise ValueError(f"index {index} out of range for {len(pts)} points")
+    if pts.count(pts[index]) > 1:
         return 0
-    pts = [member.objectives for member in front]
-    rest = [member.objectives for member in front if member is not x]
-    return hypervolume(pts, r) - hypervolume(rest, r)
+    return hypervolume(pts, r) - hypervolume(pts[:index] + pts[index + 1 :], r)
 
 
 def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoint) -> list[int]:
@@ -145,35 +102,6 @@ def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoin
     return [i for i, c in enumerate(contribs) if c == best]
 
 
-def select_removal_index(
-    objectives: np.ndarray,
-    r: ReferencePoint,
-    rng: np.random.Generator,
-    eligible: Sequence[int] | None = None,
-) -> int:
-    """Row index to remove from an (N, m) objective array.
-
-    Sorting and contribution computation are restricted to the rows in
-    ``eligible`` (defaults to all rows); the removed row always comes from
-    the last front of that sub-multiset.
-    """
-    sub = objectives if eligible is None else objectives[list(eligible)]
-    last = front_indices(sub)[-1]
-    candidates = min_contribution_indices([tuple(int(v) for v in sub[i]) for i in last], r)
-    pick = int(last[candidates[int(rng.integers(len(candidates)))]])
-    return pick if eligible is None else int(eligible[pick])
-
-
-def _select(
-    individuals: Sequence[Individual],
-    r: ReferencePoint,
-    rng: np.random.Generator,
-    eligible: Sequence[int] | None = None,
-) -> int:
-    objs = np.array([ind.objectives for ind in individuals], dtype=np.int64)
-    return select_removal_index(objs, r, rng, eligible)
-
-
 class SteadyStateSelector:
     """Incremental survivor selection for the steady-state loop.
 
@@ -181,9 +109,9 @@ class SteadyStateSelector:
     as per-row bitsets.  The offspring lives in the currently free slot (the
     last slot initially); a removal simply marks the removed slot as the next
     free slot, so both installing an offspring and committing a removal touch
-    only one row/column.  Decisions are identical in distribution to
-    :func:`survivor_select_standard` / :func:`survivor_select_stochastic` on
-    the same multiset; plain ints are used throughout because the populations
+    only one row/column.  Decisions equal those of the reference
+    :func:`emoabench.oracle.select_removal_index` on the same multiset and
+    RNG stream; plain ints are used throughout because the populations
     here are small enough that interpreter overhead, not asymptotics,
     dominates.
 
@@ -378,26 +306,3 @@ def weakly_dominates_fast(u: ObjectiveVector, v: ObjectiveVector) -> bool:
         if a < b:
             return False
     return True
-
-
-def survivor_select_standard(
-    individuals: Sequence[Individual], r: ReferencePoint, rng: np.random.Generator
-) -> tuple[list[Individual], Individual]:
-    """Remove one minimal-contribution member of the last front, ties uniform."""
-    removed = _select(individuals, r, rng)
-    survivors = [ind for i, ind in enumerate(individuals) if i != removed]
-    return survivors, individuals[removed]
-
-
-def survivor_select_stochastic(
-    individuals: Sequence[Individual], r: ReferencePoint, rng: np.random.Generator
-) -> tuple[list[Individual], Individual]:
-    """Stochastic population update: the removal choice only considers a
-    with-replacement half sample of the combined population, so every
-    individual survives with probability at least 1/2."""
-    n = len(individuals)  # mu + 1 combined individuals; sample floor((mu+1)/2)
-    draws = rng.integers(n, size=n // 2)
-    eligible = sorted(set(int(d) for d in draws))
-    removed = _select(individuals, r, rng, eligible)
-    survivors = [ind for i, ind in enumerate(individuals) if i != removed]
-    return survivors, individuals[removed]

@@ -1,4 +1,4 @@
-"""Parent selection and mutation operators.
+"""Mutation operators.
 
 Standard bit-wise mutation flips every bit independently at rate 1/n.  The
 heavy-tailed variant first draws a strength alpha from a power law with
@@ -15,18 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
-
-from .core import BitString, Individual
-
-
-def select_parent_uniform(population: Sequence[Individual], rng: np.random.Generator) -> Individual:
-    """Each member returned with probability 1/mu."""
-    if len(population) == 0:
-        raise ValueError("cannot select a parent from an empty population")
-    return population[int(rng.integers(len(population)))]
 
 
 class PowerLawDistribution:
@@ -66,10 +56,6 @@ def power_law(n: int, beta: float) -> PowerLawDistribution:
     return PowerLawDistribution(n, beta)
 
 
-def sample_alpha(d: PowerLawDistribution, rng: np.random.Generator) -> int:
-    return d.sample(rng)
-
-
 def _flip_mask(n: int, rate: float, rng: np.random.Generator) -> int:
     """Random flip set: each position independently with probability rate.
 
@@ -91,17 +77,6 @@ def _flip_mask(n: int, rate: float, rng: np.random.Generator) -> int:
     return mask
 
 
-def mutate_standard(x: BitString, rng: np.random.Generator) -> BitString:
-    """Flip each bit independently with probability 1/n."""
-    return BitString(x.n, x.mask ^ _flip_mask(x.n, 1.0 / x.n, rng))
-
-
-def mutate_heavy_tailed(x: BitString, beta: float, rng: np.random.Generator) -> BitString:
-    """Draw a fresh alpha from the power law, then flip each bit at rate alpha/n."""
-    alpha = power_law(x.n, beta).sample(rng)
-    return BitString(x.n, x.mask ^ _flip_mask(x.n, alpha / x.n, rng))
-
-
 @dataclass(frozen=True, slots=True)
 class MutationOperator:
     """Pluggable mutation: kind "standard" or "heavy_tailed" (with beta)."""
@@ -118,13 +93,8 @@ class MutationOperator:
         elif self.beta is not None:
             raise ValueError("beta is only meaningful for heavy-tailed mutation")
 
-    def mutate(self, x: BitString, rng: np.random.Generator) -> BitString:
-        if self.kind == "standard":
-            return mutate_standard(x, rng)
-        return mutate_heavy_tailed(x, self.beta, rng)
-
     def mutate_mask(self, mask: int, n: int, rng: np.random.Generator) -> int:
-        """Packed-genome fast path used by the run loops."""
+        """Mutated copy of a packed genome of length n."""
         if self.kind == "standard":
             return mask ^ _flip_mask(n, 1.0 / n, rng)
         alpha = power_law(n, self.beta).sample(rng)

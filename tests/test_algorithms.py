@@ -8,14 +8,12 @@ import pytest
 from emoabench.algorithms import (
     AlgorithmConfig,
     auto_mu,
-    coverage_fraction,
     default_max_iterations,
     gsemo_run,
-    run,
     sms_emoa_run,
 )
 from emoabench.benchmarks import ProblemInstance
-from emoabench.core import BitString
+from emoabench.harness import ExperimentSpec, run_experiment
 from emoabench.variation import MutationOperator
 
 MOJZJ8 = ProblemInstance.mojzj(8, 4, 2)
@@ -60,6 +58,15 @@ class TestConfig:
     def test_refpoint_dimension_checked(self):
         with pytest.raises(ValueError):
             sms_emoa_run(MOJZJ8, cfg(refpoint=(-1, -1)))
+
+    def test_refpoint_must_lie_below_every_objective(self):
+        # objectives start at 0, so a coordinate >= 0 leaves some attainable
+        # vector not strictly dominating the reference point
+        for r in ((5, 5), (0, -1), (-1, 0)):
+            with pytest.raises(ValueError, match="reference point"):
+                sms_emoa_run(ProblemInstance.oneminmax(3), cfg(refpoint=r))
+        rec = sms_emoa_run(ProblemInstance.oneminmax(3), cfg(refpoint=(-2, -1)))
+        assert not rec.censored
 
 
 class TestSteadyStateRun:
@@ -142,18 +149,10 @@ class TestGsemoRun:
 
 class TestDispatchAndCoverage:
     def test_run_dispatches(self):
-        assert run(MOJZJ8, cfg(seed=0)) == sms_emoa_run(MOJZJ8, cfg(seed=0))
-        assert run(MOJZJ8, cfg(algo="gsemo", seed=0)) == gsemo_run(
-            MOJZJ8, cfg(algo="gsemo", seed=0)
-        )
-
-    def test_coverage_fraction(self):
-        front = MOJZJ8.pareto_front()
-        pop = [
-            MOJZJ8.individual(BitString.from_string("11110000")),
-            MOJZJ8.individual(BitString.from_string("11001100")),
-        ]
-        from fractions import Fraction
-
-        assert coverage_fraction(pop, front) == Fraction(2, 9)
-        assert coverage_fraction([], front) == 0
+        # the harness runs repetition 0 from the stream (master seed, 0)
+        for c, run in ((cfg(seed=0), sms_emoa_run), (cfg(algo="gsemo", seed=0), gsemo_run)):
+            (row,), _ = run_experiment(ExperimentSpec(MOJZJ8, c), jobs=1)
+            rec = run(MOJZJ8, c, np.random.default_rng([0, 0]))
+            assert (row.iterations, row.evaluations) == (
+                rec.iterations_to_coverage, rec.evaluations
+            )

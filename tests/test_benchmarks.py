@@ -11,20 +11,20 @@ from hypothesis import strategies as st
 
 from emoabench.benchmarks import (
     ProblemInstance,
-    eval_lotz,
-    eval_mojzj,
-    eval_momm,
-    eval_oneminmax,
     incomparable_family,
     incomparable_family_instance,
     inner_level,
     is_inner_pareto_optimum,
     is_pareto_optimal,
-    jump,
     jump_value,
     parse_problem,
 )
-from emoabench.core import BitString, incomparable
+from emoabench.core import incomparable
+
+
+def bits(s):
+    """Packed genome of a bit-string literal: position i+1 is bit i."""
+    return int(s[::-1], 2)
 
 
 class TestJump:
@@ -36,12 +36,12 @@ class TestJump:
         assert jump_value(6, 6, 2) == 8  # optimum
 
     def test_jump_on_bitstring(self):
-        assert jump(BitString.from_string("111111"), 2) == 8
-        assert jump(BitString.from_string("111110"), 2) == 1
+        assert jump_value(bits("111111").bit_count(), 6, 2) == 8
+        assert jump_value(bits("111110").bit_count(), 6, 2) == 1
 
     def test_bad_gap(self):
         with pytest.raises(ValueError):
-            jump(BitString.from_string("1111"), 0)
+            ProblemInstance.mojzj(8, 4, 0)
 
 
 class TestInstanceValidation:
@@ -74,55 +74,56 @@ class TestEvaluators:
     def test_mojzj_frozen_values(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
         # blocks read left to right; first block drives the first pair
-        assert eval_mojzj(BitString.from_string("11110000"), inst) == (6, 2, 2, 6)
-        assert eval_mojzj(BitString.from_string("11001100"), inst) == (4, 4, 4, 4)
-        assert eval_mojzj(BitString.from_string("11100100"), inst) == (1, 3, 3, 1)
+        assert inst.evaluate_mask(bits("11110000")) == (6, 2, 2, 6)
+        assert inst.evaluate_mask(bits("11001100")) == (4, 4, 4, 4)
+        assert inst.evaluate_mask(bits("11100100")) == (1, 3, 3, 1)
 
     def test_momm_counts_zeros_then_ones_per_block(self):
         inst = ProblemInstance.momm(8, 4)
-        assert eval_momm(BitString.from_string("11110000"), inst) == (0, 4, 4, 0)
-        assert eval_momm(BitString.from_string("11001100"), inst) == (2, 2, 2, 2)
+        assert inst.evaluate_mask(bits("11110000")) == (0, 4, 4, 0)
+        assert inst.evaluate_mask(bits("11001100")) == (2, 2, 2, 2)
 
     def test_momm_equals_gap_one_jump_with_pair_swap(self):
         # per objective pair (a, b): jump variant at k=1 gives (b+1, a+1)
         momm = ProblemInstance.momm(12, 4)
         jz = ProblemInstance.mojzj(12, 4, 1)
         for mask in range(0, 1 << 12, 7):
-            x = BitString(12, mask)
-            mm = eval_momm(x, momm)
-            jj = eval_mojzj(x, jz)
+            mm = momm.evaluate_mask(mask)
+            jj = jz.evaluate_mask(mask)
             for pair in range(2):
                 assert mm[2 * pair] == jj[2 * pair + 1] - 1
                 assert mm[2 * pair + 1] == jj[2 * pair] - 1
 
     def test_oneminmax(self):
-        assert eval_oneminmax(BitString.from_string("0110")) == (2, 2)
-        assert eval_oneminmax(BitString.zeros(5)) == (5, 0)
+        assert ProblemInstance.oneminmax(4).evaluate_mask(bits("0110")) == (2, 2)
+        assert ProblemInstance.oneminmax(5).evaluate_mask(bits("00000")) == (5, 0)
 
     def test_lotz(self):
-        assert eval_lotz(BitString.from_string("11010")) == (2, 1)
-        assert eval_lotz(BitString.from_string("01101")) == (0, 0)
-        assert eval_lotz(BitString.ones(4)) == (4, 0)
-        assert eval_lotz(BitString.zeros(4)) == (0, 4)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ProblemInstance.oneminmax(5).evaluate(BitString.zeros(4))
+        lotz4, lotz5 = ProblemInstance.lotz(4), ProblemInstance.lotz(5)
+        assert lotz5.evaluate_mask(bits("11010")) == (2, 1)
+        assert lotz5.evaluate_mask(bits("01101")) == (0, 0)
+        assert lotz4.evaluate_mask(bits("1111")) == (4, 0)
+        assert lotz4.evaluate_mask(bits("0000")) == (0, 4)
 
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
     def test_mask_fast_path_matches_bitstring_path(self, mask):
-        for inst in (
-            ProblemInstance.mojzj(12, 4, 2),
-            ProblemInstance.momm(12, 6),
-            ProblemInstance.oneminmax(12),
-            ProblemInstance.lotz(12),
-        ):
-            assert inst.evaluate_mask(mask) == inst.evaluate(BitString(12, mask))
+        # per-block counts read from the string's positions, block i holding
+        # positions i*n'+1 .. (i+1)*n'
+        string = [(mask >> i) & 1 for i in range(12)]
+        jz, momm = ProblemInstance.mojzj(12, 4, 2), ProblemInstance.momm(12, 6)
+        jz_counts = [sum(string[b * 6 : (b + 1) * 6]) for b in range(2)]
+        mm_counts = [sum(string[b * 4 : (b + 1) * 4]) for b in range(3)]
+        assert jz.evaluate_mask(mask) == tuple(
+            v for c in jz_counts for v in (jump_value(c, 6, 2), jump_value(6 - c, 6, 2))
+        )
+        assert momm.evaluate_mask(mask) == tuple(v for c in mm_counts for v in (4 - c, c))
+        assert ProblemInstance.oneminmax(12).evaluate_mask(mask) == (
+            string.count(0), string.count(1)
+        )
 
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
     def test_lotz_matches_definition(self, mask):
-        x = BitString(12, mask)
-        bits = x.bits
+        bits = [(mask >> i) & 1 for i in range(12)]
         leading = 0
         for b in bits:
             if b != 1:
@@ -133,7 +134,7 @@ class TestEvaluators:
             if b != 0:
                 break
             trailing += 1
-        assert eval_lotz(x) == (leading, trailing)
+        assert ProblemInstance.lotz(12).evaluate_mask(mask) == (leading, trailing)
 
 
 class TestFronts:
@@ -165,24 +166,24 @@ class TestFronts:
 class TestParetoPredicates:
     def test_extreme_and_interior_blocks_are_optimal(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
-        assert is_pareto_optimal(BitString.from_string("11110000"), inst)
-        assert is_pareto_optimal(BitString.from_string("11001100"), inst)
-        assert not is_pareto_optimal(BitString.from_string("11100100"), inst)
+        assert is_pareto_optimal(bits("11110000"), inst)
+        assert is_pareto_optimal(bits("11001100"), inst)
+        assert not is_pareto_optimal(bits("11100100"), inst)
 
     def test_inner_optimum_excludes_extreme_blocks(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
-        assert is_inner_pareto_optimum(BitString.from_string("11001100"), inst)
-        assert not is_inner_pareto_optimum(BitString.from_string("11110000"), inst)
+        assert is_inner_pareto_optimum(bits("11001100"), inst)
+        assert not is_inner_pareto_optimum(bits("11110000"), inst)
 
     def test_inner_level_counts_interior_blocks(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
-        assert inner_level(BitString.from_string("11001100"), inst) == 2
-        assert inner_level(BitString.from_string("11110000"), inst) == 0
-        assert inner_level(BitString.from_string("11110011"), inst) == 1
+        assert inner_level(bits("11001100"), inst) == 2
+        assert inner_level(bits("11110000"), inst) == 0
+        assert inner_level(bits("11110011"), inst) == 1
 
     def test_predicates_require_jump_variant(self):
         with pytest.raises(ValueError):
-            is_pareto_optimal(BitString.zeros(4), ProblemInstance.oneminmax(4))
+            is_pareto_optimal(bits("0000"), ProblemInstance.oneminmax(4))
 
 
 class TestIncomparableFamily:
@@ -190,12 +191,13 @@ class TestIncomparableFamily:
         inst = incomparable_family_instance(8)
         assert inst == ProblemInstance.mojzj(16, 4, 4)
         family = incomparable_family(8, 3)
-        values = [inst.evaluate(x) for x in family]
+        assert family[0] == bits("1000000011111000")
+        values = [inst.evaluate_mask(x) for x in family]
         assert values == [(5, 1, 3, 7), (6, 2, 2, 6), (7, 3, 1, 5)]
 
     def test_pairwise_incomparable(self):
         inst = incomparable_family_instance(10)
-        vals = [inst.evaluate(x) for x in incomparable_family(10, 4)]
+        vals = [inst.evaluate_mask(x) for x in incomparable_family(10, 4)]
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 assert incomparable(vals[i], vals[j])

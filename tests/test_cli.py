@@ -43,6 +43,22 @@ class TestRun:
         assert "bound[omm]" in out
         assert "pass" in out
 
+    def test_failed_bound_report_exits_2(self, capsys):
+        # three iterations cannot cover the front: censored, so the bound fails
+        code = run_cli("run", "--problem", "omm:n=10", "--max-iters", "3", "--bounds")
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "-> FAIL" in out
+
+    def test_censored_summary_is_marked(self, capsys):
+        code = run_cli("run", "--problem", "omm:n=10", "--reps", "3", "--max-iters", "3")
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "censored=3 mean_iters" in out
+        assert "cover only the 0 uncensored repetitions" in out
+        run_cli("run", "--problem", "omm:n=10", "--reps", "2")
+        assert "uncensored" not in capsys.readouterr().out
+
     def test_gsemo_and_variants(self, capsys):
         code = run_cli(
             "run", "--problem", "mojzj:n=8,m=4,k=2", "--algo", "gsemo", "--reps", "1"
@@ -59,6 +75,10 @@ class TestRun:
         assert code == 0
         code = run_cli("run", "--problem", "omm:n=8", "--reps", "1", "--refpoint=-1,-1,-1")
         assert code == 1
+        # objectives start at 0: a reference point they need not dominate
+        code = run_cli("run", "--problem", "omm:n=3", "--refpoint=5,5")
+        assert code == 1
+        assert "reference point" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -1,63 +1,12 @@
-"""Bit strings and dominance relations."""
+"""Dominance relations on objective vectors."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emoabench.core import (
-    BitString,
-    Individual,
-    dominates,
-    incomparable,
-    ones_count,
-    weakly_dominates,
-)
+from emoabench.core import dominates, incomparable, weakly_dominates
 
 vectors = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6)
-
-
-class TestBitString:
-    def test_round_trip_bits(self):
-        x = BitString.from_bits([1, 0, 1, 1, 0])
-        assert x.bits == (1, 0, 1, 1, 0)
-        assert str(x) == "10110"
-        assert x == BitString.from_string("10110")
-
-    def test_packing_is_position_indexed(self):
-        # bit i of the mask is position i of the string
-        x = BitString.from_bits([1, 0, 0, 0])
-        assert x.mask == 1
-        assert x[0] == 1 and x[3] == 0
-
-    def test_zeros_ones(self):
-        assert BitString.zeros(4).ones_count() == 0
-        assert BitString.ones(4).ones_count() == 4
-        assert ones_count(BitString.from_string("0110")) == 2
-
-    def test_complement(self):
-        x = BitString.from_string("0110")
-        assert x.complement() == BitString.from_string("1001")
-
-    def test_flip(self):
-        x = BitString.from_string("0000")
-        assert x.flip([0, 2]) == BitString.from_string("1010")
-        # flipping twice restores
-        assert x.flip([1]).flip([1]) == x
-
-    def test_slice(self):
-        x = BitString.from_string("10110011")
-        assert x.slice(0, 4) == BitString.from_string("1011")
-        assert x.slice(4, 4) == BitString.from_string("0011")
-
-    def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            BitString(0, 0)
-
-    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64))
-    def test_bits_mask_round_trip(self, bits):
-        x = BitString.from_bits(bits)
-        assert list(x.bits) == bits
-        assert x.ones_count() == sum(bits)
 
 
 class TestDominance:
@@ -106,9 +55,3 @@ class TestDominance:
         if weakly_dominates(a, b) and weakly_dominates(b, c):
             assert weakly_dominates(a, c)
 
-
-def test_individual_holds_genome_and_objectives():
-    x = BitString.from_string("0110")
-    ind = Individual(x, (2, 2))
-    assert ind.genome == x
-    assert ind.objectives == (2, 2)

@@ -7,16 +7,15 @@ import pytest
 
 from emoabench.algorithms import AlgorithmConfig
 from emoabench.benchmarks import ProblemInstance
+from emoabench.bounds import bound_value
 from emoabench.harness import (
     CSV_HEADER,
     ExperimentSpec,
     ResultRow,
     applicable_theorems,
-    bound_value,
     build_bound_report,
     run_experiment,
     summarize,
-    write_csv,
 )
 from emoabench.variation import MutationOperator
 
@@ -41,24 +40,24 @@ class TestSpec:
 
 class TestBoundValues:
     def test_oneminmax_bound(self):
-        v = bound_value("omm", OMM20, cfg(mu=21))
+        v = bound_value("omm", OMM20, 21)
         assert v == pytest.approx(2 * math.e * 21 * 20 * (math.log(20) + 1))
         assert v == pytest.approx(9123.7, abs=0.5)
 
     def test_lotz_bound(self):
-        v = bound_value("lotz", ProblemInstance.lotz(20), cfg(mu=21))
+        v = bound_value("lotz", ProblemInstance.lotz(20), 21)
         assert v == pytest.approx(2 * math.e * 21 * 400)
 
     def test_jump_bound(self):
         inst = ProblemInstance.mojzj(12, 4, 2)
-        v = bound_value("sms", inst, cfg(mu=49))
+        v = bound_value("sms", inst, 49)
         expect = math.e * 49 * 16 * (1 + math.log(4)) + math.e * 49 * 25 * 144
         assert v == pytest.approx(expect)
 
     def test_stochastic_bound_has_capped_factor(self):
         inst = ProblemInstance.mojzj(12, 4, 2)
         mu = 99
-        v = bound_value("spu", inst, cfg(mu=mu, update="stochastic"))
+        v = bound_value("spu", inst, mu)
         factor = min(1.0, 4 * math.e * mu / 2**2)
         expect = (
             math.e * mu * 16 * (1 + math.log(4))
@@ -68,13 +67,16 @@ class TestBoundValues:
         assert v == pytest.approx(expect)
 
     def test_auto_mu_resolved(self):
-        assert bound_value("omm", OMM20, cfg()) == bound_value("omm", OMM20, cfg(mu=21))
+        # the report resolves mu=None to auto_mu: n+1 = 21 for OneMinMax
+        rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
+        report = build_bound_report(ExperimentSpec(OMM20, cfg()), rows)
+        assert report.rows[0].bound == bound_value("omm", OMM20, 21)
 
     def test_inapplicable_pairings(self):
         with pytest.raises(ValueError):
-            bound_value("omm", ProblemInstance.lotz(8), cfg())
+            bound_value("omm", ProblemInstance.lotz(8), 9)
         with pytest.raises(ValueError):
-            bound_value("sms", OMM20, cfg())
+            bound_value("sms", OMM20, 21)
 
     def test_applicable_theorems(self):
         assert applicable_theorems(OMM20, cfg()) == ["omm"]
@@ -165,9 +167,11 @@ class TestStatistics:
 
 
 def test_write_csv_round_trip(tmp_path):
-    rows = [ResultRow(OMM20, cfg(), 0, 10, 31, False, 0.5)]
+    row = ResultRow(OMM20, cfg(), 0, 10, 31, False, 0.5)
     path = tmp_path / "x.csv"
-    write_csv(rows, path)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([CSV_HEADER, row.as_csv()])
     data = read_csv(path)
     assert data[0] == CSV_HEADER
+    assert len(data[1]) == len(CSV_HEADER)
     assert data[1][CSV_HEADER.index("iterations")] == "10"

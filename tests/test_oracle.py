@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emoabench.benchmarks import ProblemInstance, incomparable_family, is_pareto_optimal
-from emoabench.core import BitString, Individual
 from emoabench.oracle import (
     OracleBudget,
     brute_force_front,
@@ -48,9 +47,7 @@ class TestBruteForceFront:
     def test_membership_matches_block_characterization(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
         for mask in range(1 << 8):
-            assert brute_force_pareto_optimal(mask, inst) == is_pareto_optimal(
-                BitString(8, mask), inst
-            )
+            assert brute_force_pareto_optimal(mask, inst) == is_pareto_optimal(mask, inst)
 
 
 class TestInclusionExclusion:
@@ -105,7 +102,7 @@ class TestMonteCarlo:
 class TestAntichainChecks:
     def test_family_is_incomparable(self):
         inst = ProblemInstance.mojzj(16, 4, 4)
-        family = [inst.individual(x) for x in incomparable_family(8, 3)]
+        family = [inst.evaluate_mask(x) for x in incomparable_family(8, 3)]
         assert verify_antichain(family)
 
     def test_chain_fails(self):

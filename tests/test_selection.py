@@ -1,47 +1,51 @@
-"""Non-dominated sorting, exact hypervolume, and survivor selection."""
+"""Exact hypervolume, the incremental selector, and its oracle reference."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from emoabench.core import BitString, Individual
+from emoabench.oracle import front_indices, select_removal_index
 from emoabench.selection import (
     SteadyStateSelector,
     default_reference_point,
-    fast_nondominated_sort,
-    front_indices,
     hv_contribution,
     hypervolume,
     min_contribution_indices,
-    select_removal_index,
-    survivor_select_standard,
-    survivor_select_stochastic,
 )
 
 
-def ind(*objectives):
-    return Individual(BitString.zeros(4), tuple(objectives))
+def fronts_of(*objectives):
+    return [list(map(int, f)) for f in front_indices(np.array(objectives, dtype=np.int64))]
+
+
+def half_sample(rng, size):
+    """Eligible mask of the stochastic update: floor(size/2) slots drawn with
+    replacement, as the run loop draws them."""
+    mask = 0
+    for d in rng.integers(size, size=size // 2).tolist():
+        mask |= 1 << d
+    return mask
+
+
+def selector(*objectives):
+    """Selector over the combined population, last vector as offspring."""
+    sel = SteadyStateSelector(list(objectives), (-1, -1))
+    sel.set_offspring(objectives[-1])
+    return sel
 
 
 class TestSorting:
     def test_single_antichain(self):
-        part = fast_nondominated_sort([ind(1, 2), ind(2, 1)])
-        assert len(part.fronts) == 1
-        assert part.last == part.fronts[0]
+        assert fronts_of((1, 2), (2, 1)) == [[0, 1]]
 
     def test_layering(self):
-        a, b, c = ind(2, 2), ind(1, 1), ind(0, 0)
-        part = fast_nondominated_sort([b, a, c])
-        assert [f[0].objectives for f in part.fronts] == [(2, 2), (1, 1), (0, 0)]
+        assert fronts_of((1, 1), (2, 2), (0, 0)) == [[1], [0], [2]]
 
     def test_duplicates_share_a_front(self):
-        part = fast_nondominated_sort([ind(1, 1), ind(1, 1), ind(0, 2)])
-        assert len(part.fronts) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            fast_nondominated_sort([])
+        assert fronts_of((1, 1), (1, 1), (0, 2)) == [[0, 1, 2]]
 
     def test_front_indices_against_direct_check(self):
         rng = np.random.default_rng(0)
@@ -84,24 +88,23 @@ class TestHypervolume:
             hypervolume([(0, 2), (2, 0)], (-1, -1, -1))
 
     def test_contribution_values(self):
-        a, b, c = ind(0, 2), ind(1, 1), ind(2, 0)
-        front = [a, b, c]
+        front = [(0, 2), (1, 1), (2, 0)]
         r = (-1, -1)
         # each point adds exactly one unit cell beyond the other two
-        assert hv_contribution(b, front, r) == 1
-        assert hv_contribution(a, front, r) == 1
+        assert hv_contribution(front, 1, r) == 1
+        assert hv_contribution(front, 0, r) == 1
 
     def test_contribution_zero_iff_duplicate(self):
-        a, b, c = ind(1, 1), ind(1, 1), ind(0, 2)
-        front = [a, b, c]
+        front = [(1, 1), (1, 1), (0, 2)]
         r = (-1, -1)
-        assert hv_contribution(a, front, r) == 0
-        assert hv_contribution(b, front, r) == 0
-        assert hv_contribution(c, front, r) > 0
+        assert hv_contribution(front, 0, r) == 0
+        assert hv_contribution(front, 1, r) == 0
+        assert hv_contribution(front, 2, r) > 0
 
     def test_contribution_requires_membership(self):
-        with pytest.raises(ValueError):
-            hv_contribution(ind(5, 5), [ind(1, 1)], (-1, -1))
+        for index in (1, -1):
+            with pytest.raises(ValueError):
+                hv_contribution([(1, 1)], index, (-1, -1))
 
     def test_min_contribution_ties(self):
         assert min_contribution_indices([(0, 3), (1, 1), (3, 0)], (-1, -1)) == [1]
@@ -125,28 +128,32 @@ class TestRemovalChoice:
         assert set(counts) == {0, 1}
         assert min(counts.values()) > 120
 
-    def test_survivor_select_standard(self):
-        pop = [ind(0, 2), ind(1, 1), ind(2, 0), ind(0, 0)]
-        survivors, removed = survivor_select_standard(pop, (-1, -1), np.random.default_rng(0))
-        assert removed.objectives == (0, 0)
-        assert len(survivors) == 3
+    def test_choose_removal_standard(self):
+        sel = selector((0, 2), (1, 1), (2, 0), (0, 0))
+        removed = sel.choose_removal(np.random.default_rng(0))
+        assert sel.tuples[removed] == (0, 0)
+        sel.commit_removal(removed)
+        assert sel.free == removed  # its slot takes the next offspring
 
-    def test_survivor_select_stochastic_sample_size(self):
+    def test_choose_removal_sampled_size(self):
         # with mu+1 = 2 the half sample has one member; it is always removed
-        pop = [ind(0, 2), ind(2, 0)]
+        sel = selector((0, 2), (2, 0))
         seen = set()
         for s in range(50):
-            _, removed = survivor_select_stochastic(pop, (-1, -1), np.random.default_rng(s))
-            seen.add(removed.objectives)
+            rng = np.random.default_rng(s)
+            eligible = half_sample(rng, 2)
+            removed = sel.choose_removal(rng, eligible)
+            assert eligible == 1 << removed
+            seen.add(sel.tuples[removed])
         assert seen == {(0, 2), (2, 0)}
 
     def test_stochastic_can_spare_the_worst(self):
         # the strictly dominated member survives whenever unsampled
-        pop = [ind(2, 2), ind(0, 0), ind(3, 3), ind(1, 3)]
+        sel = selector((2, 2), (0, 0), (3, 3), (1, 3))
         spared = 0
         for s in range(300):
-            survivors, _ = survivor_select_stochastic(pop, (-1, -1), np.random.default_rng(s))
-            spared += any(x.objectives == (0, 0) for x in survivors)
+            rng = np.random.default_rng(s)
+            spared += sel.choose_removal(rng, half_sample(rng, 4)) != 1
         assert spared > 100
 
 
@@ -213,3 +220,34 @@ class TestSteadyStateSelector:
                     if i != sel.free and expect[t] > 1:
                         dup_expect |= 1 << i
                 assert sel.dup_mask == dup_expect
+
+    @settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_long_sequences_match_oracle(self, data):
+        m = data.draw(st.integers(2, 8), label="m")
+        # the oracle's leave-one-out hypervolume grows fast with m; past
+        # m=5 small coordinates and at most 12 vectors keep it cheap
+        size = data.draw(st.integers(3, 12 if m >= 6 else 20), label="size")
+        vec = st.tuples(*[st.integers(0, 3 if m >= 6 else 5)] * m)
+        pop = data.draw(st.lists(vec, min_size=size, max_size=size), label="population")
+        sampled = data.draw(st.booleans(), label="sampled")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        r = default_reference_point(m)
+        sel = SteadyStateSelector(list(pop), r)
+        sel.set_offspring(pop[-1])
+        sel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(40):
+            eligible = mask = None
+            if sampled:
+                draws = data.draw(
+                    st.lists(st.integers(0, size - 1), min_size=size // 2, max_size=size // 2)
+                )
+                eligible = sorted(set(draws))
+                mask = sum(1 << i for i in eligible)
+            a = sel.choose_removal(sel_rng, mask)
+            b = select_removal_index(np.array(pop, dtype=np.int64), r, ref_rng, eligible)
+            assert a == b, f"step {step}"
+            sel.commit_removal(a)
+            pop[a] = data.draw(vec)
+            sel.set_offspring(pop[a])
+        assert sel_rng.bit_generator.state == ref_rng.bit_generator.state
