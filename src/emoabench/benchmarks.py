@@ -106,7 +106,9 @@ class ProblemInstance:
         return [((mask >> (i * np_)) & bm).bit_count() for i in range(self.m // 2)]
 
     def evaluate_mask(self, mask: int) -> ObjectiveVector:
-        """Objective vector of a packed genome."""
+        """Objective vector of a packed genome of n bits."""
+        if mask >> self.n:  # also catches a negative mask
+            raise ValueError(f"genome {mask:#x} does not fit in n={self.n} bits")
         if self.kind == "mojzj":
             np_, k = self.nprime, self.k
             out: list[int] = []

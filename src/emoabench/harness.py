@@ -161,12 +161,10 @@ def build_bound_report(
     out = []
     for theorem in applicable_theorems(inst, cfg):
         b = bounds.bound_value(theorem, inst, mu)
-        ci = 0.0 if math.isnan(summary.ci_half_width) else summary.ci_half_width
-        passed = (
-            summary.censored == 0
-            and not math.isnan(summary.mean_iterations)
-            and summary.mean_iterations + ci <= b
-        )
+        ci = summary.ci_half_width
+        # a NaN mean or CI (fewer than two uncensored repetitions) compares
+        # False, so a row without an interval fails
+        passed = summary.censored == 0 and summary.mean_iterations + ci <= b
         out.append(BoundRow(theorem, b, summary.mean_iterations, ci, passed))
     return BoundReport(tuple(out))
 

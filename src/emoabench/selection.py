@@ -8,10 +8,17 @@ of minimal hypervolume contribution from the last front, with a shortcut:
 inside an antichain the contribution is zero exactly for duplicated
 objective vectors, so when duplicates are present no hypervolume needs to
 be evaluated.
+
+The selector answers dominance queries from a per-objective value index, so
+installing an offspring costs time in its change of value, not in the
+population size, and a mask of strictly dominated slots lets the last-front
+peel return at once on an antichain.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,23 +112,24 @@ def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoin
 class SteadyStateSelector:
     """Incremental survivor selection for the steady-state loop.
 
-    Keeps the pairwise weak-dominance relation of the combined population
-    as per-row bitsets.  The offspring lives in the currently free slot (the
-    last slot initially); a removal simply marks the removed slot as the next
-    free slot, so both installing an offspring and committing a removal touch
-    only one row/column.  Decisions equal those of the reference
-    :func:`emoabench.oracle.select_removal_index` on the same multiset and
-    RNG stream; plain ints are used throughout because the populations
-    here are small enough that interpreter overhead, not asymptotics,
-    dominates.
+    Slots hold the combined population; the offspring lives in the currently
+    free slot (the last slot initially), and a removal simply marks the
+    removed slot as the next free slot.  Decisions equal those of the
+    reference :func:`emoabench.oracle.select_removal_index` on the same
+    multiset and RNG stream.
 
-    ``ge_rows[i]`` has bit j set iff vector i weakly dominates vector j;
-    ``ge_cols[j]`` is the transpose view.  i strictly dominates j iff bit i
-    of ``ge_cols[j] & ~ge_rows[j]`` is set.
+    All sets are plain-int slot bitmasks.  ``le[c][v]`` (``ge[c][v]``) holds
+    the slots whose coordinate c is <= v (>= v), so the AND of m entries
+    gives the slots weakly above or below a vector; objectives must be
+    non-negative integers to index them.  ``strict_cols[j]`` holds the slots
+    strictly dominating j and ``dominated`` the slots with any strict
+    dominator.  Installing an offspring moves its slot's bits only across the
+    values between its old and new coordinates and touches only the strict
+    bits that change.
     """
 
     __slots__ = (
-        "tuples", "r", "size", "ge_rows", "ge_cols", "strict_cols",
+        "tuples", "r", "le", "ge", "strict_cols", "dominated",
         "slots_by_value", "dup_mask", "full_mask", "free"
     )
 
@@ -129,23 +137,26 @@ class SteadyStateSelector:
         n = len(tuples)
         self.tuples = tuples
         self.r = r
-        self.size = n
         self.free = n - 1
         self.full_mask = (1 << n) - 1
-        self.ge_rows = [0] * n
-        self.ge_cols = [0] * n
-        for i in range(n):
-            ti = tuples[i]
-            row = 0
-            for j in range(n):
-                if weakly_dominates_fast(ti, tuples[j]):
-                    row |= 1 << j
-                    self.ge_cols[j] |= 1 << i
-            self.ge_rows[i] = row
-        # strict_cols[j]: mask of the slots strictly dominating vector j
-        self.strict_cols = [
-            self.ge_cols[j] & ~self.ge_rows[j] for j in range(n)
-        ]
+        self.le: list[list[int]] = []
+        self.ge: list[list[int]] = []
+        for column in zip(*tuples):
+            if min(column) < 0:
+                raise ValueError(f"objective values must be >= 0, got {min(column)}")
+            at = [0] * (max(column) + 1)
+            for i, v in enumerate(column):
+                at[v] |= 1 << i
+            self.le.append(list(accumulate(at, or_)))
+            self.ge.append(list(accumulate(reversed(at), or_))[::-1])
+        self.strict_cols: list[int] = []
+        self.dominated = 0
+        for i, t in enumerate(tuples):
+            above, below = self._cones(t)
+            dominators = above & ~below
+            self.strict_cols.append(dominators)
+            if dominators:
+                self.dominated |= 1 << i
         # slot bitmask per objective vector; equal vectors always share a
         # front, so the union of multiply-occupied values (``dup_mask``)
         # decides the zero-contribution shortcut without recounting per front
@@ -158,89 +169,70 @@ class SteadyStateSelector:
                 if m & (m - 1):
                     self.dup_mask |= m
 
-    @property
-    def dup_counts(self) -> dict[ObjectiveVector, int]:
-        return {v: m.bit_count() for v, m in self.slots_by_value.items()}
+    def _cones(self, obj: ObjectiveVector) -> tuple[int, int]:
+        """(slots weakly dominating obj, slots weakly dominated by obj)."""
+        above = below = self.full_mask
+        for le_c, ge_c, v in zip(self.le, self.ge, obj):
+            above &= ge_c[v]
+            below &= le_c[v]
+        return above, below
 
     def set_offspring(self, obj: ObjectiveVector) -> None:
         """Install the offspring objective vector in the free slot."""
-        last = self.free
-        bit_last = 1 << last
-        t = self.tuples
-        t[last] = obj
-        rows = self.ge_rows
-        cols = self.ge_cols
+        if min(obj) < 0:
+            raise ValueError(f"objective values must be >= 0, got {obj}")
+        slot = self.free
+        bit = 1 << slot
+        not_bit = ~bit
+        old = self.tuples[slot]
+        above, below = self._cones(old)
+        lost = below & ~above  # slots the old occupant strictly dominated
+        for le_c, ge_c, a, b in zip(self.le, self.ge, old, obj):
+            if b < a:
+                for v in range(b, a):
+                    le_c[v] |= bit
+                for v in range(b + 1, a + 1):
+                    ge_c[v] &= not_bit
+            elif b > a:
+                if b >= len(le_c):  # no slot lies above the table yet
+                    le_c.extend([self.full_mask] * (b + 1 - len(le_c)))
+                    ge_c.extend([0] * (b + 1 - len(ge_c)))
+                for v in range(a, b):
+                    le_c[v] &= not_bit
+                for v in range(a + 1, b + 1):
+                    ge_c[v] |= bit
+        self.tuples[slot] = obj
+        above, below = self._cones(obj)
+        gained = below & ~above
         strict = self.strict_cols
-        not_last = ~bit_last
-        row = 0
-        col = 0
-        if len(obj) == 2:  # the bi-objective benchmarks dominate run time
-            o0, o1 = obj
-            for j in range(self.size):
-                a0, a1 = t[j]
-                if o0 >= a0 and o1 >= a1:
-                    row |= 1 << j
-                    cols[j] |= bit_last
-                    if a0 >= o0 and a1 >= o1:
-                        col |= 1 << j
-                        rows[j] |= bit_last
-                        strict[j] &= not_last
-                    else:
-                        rows[j] &= not_last
-                        strict[j] |= bit_last
-                else:
-                    cols[j] &= not_last
-                    strict[j] &= not_last
-                    if a0 >= o0 and a1 >= o1:
-                        col |= 1 << j
-                        rows[j] |= bit_last
-                    else:
-                        rows[j] &= not_last
-        else:
-            for j in range(self.size):
-                tj = t[j]
-                ge_ij = True
-                ge_ji = True
-                for a, b in zip(obj, tj):
-                    if a < b:
-                        ge_ij = False
-                    elif a > b:
-                        ge_ji = False
-                if ge_ij:
-                    row |= 1 << j
-                    cols[j] |= bit_last
-                else:
-                    cols[j] &= not_last
-                if ge_ji:
-                    col |= 1 << j
-                    rows[j] |= bit_last
-                else:
-                    rows[j] &= not_last
-                if ge_ij and not ge_ji:
-                    strict[j] |= bit_last
-                else:
-                    strict[j] &= not_last
-        rows[last] = row
-        cols[last] = col
-        strict[last] = col & ~row
-        m = self.slots_by_value.get(obj, 0) | bit_last
+        strict[slot] = above & ~below
+        dominated = (self.dominated | gained) & not_bit
+        if strict[slot]:
+            dominated |= bit
+        for j in _slots(lost & ~gained):
+            strict[j] &= not_bit
+            if not strict[j]:
+                dominated &= ~(1 << j)
+        for j in _slots(gained & ~lost):
+            strict[j] |= bit
+        self.dominated = dominated
+        m = self.slots_by_value.get(obj, 0) | bit
         self.slots_by_value[obj] = m
         if m & (m - 1):
             self.dup_mask |= m
 
     def _last_front(self, alive: int) -> int:
+        # only slots with some strict dominator can fall behind the first
+        # front, so an antichain returns without a scan
         strict = self.strict_cols
         while True:
-            current = 0
-            a = alive
-            while a:
-                lsb = a & -a
-                a ^= lsb
-                if not (strict[lsb.bit_length() - 1] & alive):
-                    current |= lsb
-            if current == alive:
-                return current
-            alive ^= current
+            behind = 0
+            for j in _slots(alive & self.dominated):
+                if strict[j] & alive:
+                    behind |= 1 << j
+            if not behind:
+                return alive
+            alive = behind
 
     def choose_removal(self, rng: np.random.Generator, eligible: int | None = None) -> int:
         """Index to remove; ``eligible`` is a bitmask of sampled identities
@@ -251,31 +243,15 @@ class SteadyStateSelector:
             d = self.dup_mask & last_mask
             if d:
                 # duplicated slots are exactly the zero-contribution members
-                k = int(rng.integers(d.bit_count()))
-                while k:
-                    d &= d - 1
-                    k -= 1
-                return (d & -d).bit_length() - 1
-            members: list[int] = []
-            a = last_mask
-            while a:
-                lsb = a & -a
-                a ^= lsb
-                members.append(lsb.bit_length() - 1)
-            dup: list[int] = []
-        else:
-            members = []
-            a = last_mask
-            while a:
-                lsb = a & -a
-                a ^= lsb
-                members.append(lsb.bit_length() - 1)
+                return _nth_set_bit(d, int(rng.integers(d.bit_count())))
+        members = _slots(last_mask)
+        if eligible is not None:
             local: dict[ObjectiveVector, int] = {}
             for i in members:
                 local[t[i]] = local.get(t[i], 0) + 1
             dup = [i for i in members if local[t[i]] > 1]
-        if dup:
-            return dup[int(rng.integers(len(dup)))]
+            if dup:
+                return dup[int(rng.integers(len(dup)))]
         if len(members) == 1:
             return members[0]
         pick = min_contribution_indices([t[i] for i in members], self.r)
@@ -284,8 +260,9 @@ class SteadyStateSelector:
     def commit_removal(self, removed: int) -> None:
         """Drop ``removed``; its slot becomes the next offspring slot.
 
-        The removed slot's row/column go stale but are never read: the next
-        :meth:`set_offspring` rewrites exactly that slot.
+        The removed vector stays in the index but is never read as a
+        population member: the next :meth:`set_offspring` replaces exactly
+        that slot.
         """
         v = self.tuples[removed]
         bit = 1 << removed
@@ -301,8 +278,24 @@ class SteadyStateSelector:
         self.free = removed
 
 
-def weakly_dominates_fast(u: ObjectiveVector, v: ObjectiveVector) -> bool:
-    for a, b in zip(u, v):
-        if a < b:
-            return False
-    return True
+def _slots(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        out.append(lsb.bit_length() - 1)
+    return out
+
+
+def _nth_set_bit(mask: int, k: int) -> int:
+    """Position of the k-th lowest set bit of ``mask`` (k counts from 0),
+    by bisection on the popcount of the low bits."""
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

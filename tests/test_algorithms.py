@@ -156,3 +156,63 @@ class TestDispatchAndCoverage:
             assert (row.iterations, row.evaluations) == (
                 rec.iterations_to_coverage, rec.evaluations
             )
+
+
+# (iterations_to_coverage, evaluations, coverage_trajectory,
+# inner_coverage_trajectory) recorded with the earlier pairwise-bitset
+# selector.  The selector's oracle test stops at 20 vectors; these pin whole
+# runs at N = 626, m = 8 and of the stochastic update at N = 100, m = 4.
+GOLDEN_JUMP8 = {
+    0: (None, 925, [
+        (0, 256), (4, 257), (11, 258), (18, 259), (37, 260), (43, 261), (44, 262), (48, 263),
+        (49, 264), (53, 265), (59, 266), (83, 267), (84, 268), (89, 269), (102, 270),
+        (106, 271), (112, 272), (119, 273), (150, 274), (153, 275), (160, 276), (162, 277),
+        (168, 278), (174, 279), (176, 280), (178, 281), (193, 282), (227, 283), (232, 284),
+        (238, 285), (240, 286), (241, 287), (256, 288), (262, 289), (264, 290), (268, 291),
+        (278, 292), (293, 293),
+    ], [(0, 4)]),
+    1: (None, 925, [
+        (0, 243), (24, 244), (44, 245), (46, 246), (55, 247), (57, 248), (63, 249), (85, 250),
+        (97, 251), (107, 252), (108, 253), (109, 254), (124, 255), (132, 256), (139, 257),
+        (144, 258), (147, 259), (148, 260), (150, 261), (153, 262), (159, 263), (167, 264),
+        (178, 265), (197, 266), (226, 267), (228, 268), (248, 269), (251, 270), (257, 271),
+        (273, 272), (280, 273), (291, 274), (293, 275),
+    ], [(0, 4)]),
+    2: (None, 925, [
+        (0, 254), (1, 255), (15, 256), (26, 257), (41, 258), (45, 259), (49, 260), (55, 261),
+        (57, 262), (58, 263), (67, 264), (68, 265), (73, 266), (75, 267), (91, 268), (102, 269),
+        (108, 270), (110, 271), (112, 272), (114, 273), (129, 274), (135, 275), (136, 276),
+        (140, 277), (145, 278), (146, 279), (149, 280), (164, 281), (188, 282), (193, 283),
+        (194, 284), (222, 285), (235, 286), (252, 287), (268, 288), (276, 289), (295, 290),
+    ], [(0, 4)]),
+}
+GOLDEN_JUMP4_SPU = {
+    0: (5775, 5874, [
+        (0, 15), (2, 16), (157, 17), (163, 18), (273, 19), (539, 20), (821, 21), (906, 22),
+        (1893, 23), (2199, 24), (5775, 25),
+    ], [(0, 2)]),
+    1: (14802, 14901, [
+        (0, 11), (2, 12), (23, 13), (150, 14), (191, 15), (342, 16), (599, 17), (669, 18),
+        (741, 19), (778, 20), (839, 21), (1285, 22), (1449, 23), (6560, 24), (14802, 25),
+    ], [(0, 2)]),
+}
+
+def golden(rec):
+    return (
+        rec.iterations_to_coverage, rec.evaluations,
+        rec.coverage_trajectory, rec.inner_coverage_trajectory,
+    )
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_JUMP8))
+    def test_many_objective_auto_mu(self, seed):
+        c = cfg(max_iterations=300, stop_at_coverage=False, seed=seed)
+        rec = sms_emoa_run(ProblemInstance.mojzj(16, 8, 1), c)
+        assert golden(rec) == GOLDEN_JUMP8[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_JUMP4_SPU))
+    def test_stochastic_update(self, seed):
+        c = cfg(mu=99, update="stochastic", seed=seed)
+        rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 2), c)
+        assert golden(rec) == GOLDEN_JUMP4_SPU[seed]

@@ -105,6 +105,17 @@ class TestEvaluators:
         assert lotz4.evaluate_mask(bits("1111")) == (4, 0)
         assert lotz4.evaluate_mask(bits("0000")) == (0, 4)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [ProblemInstance.oneminmax(4), ProblemInstance.lotz(4), ProblemInstance.mojzj(4, 4, 1)],
+        ids=str,
+    )
+    def test_genome_must_fit_in_n_bits(self, inst):
+        assert inst.evaluate_mask((1 << 4) - 1)
+        for mask in (1 << 4, 0b11111, (1 << 40) | 1, -1):
+            with pytest.raises(ValueError, match="n=4"):
+                inst.evaluate_mask(mask)
+
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
     def test_mask_fast_path_matches_bitstring_path(self, mask):
         # per-block counts read from the string's positions, block i holding

@@ -50,6 +50,13 @@ class TestRun:
         assert code == 2
         assert "-> FAIL" in out
 
+    def test_single_repetition_bound_report_exits_2(self, capsys):
+        # one repetition has no confidence interval to check against the bound
+        code = run_cli("run", "--problem", "omm:n=10", "--reps", "1", "--bounds")
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "ci95_half=nan -> FAIL" in out
+
     def test_censored_summary_is_marked(self, capsys):
         code = run_cli("run", "--problem", "omm:n=10", "--reps", "3", "--max-iters", "3")
         out = capsys.readouterr().out

@@ -72,6 +72,13 @@ class TestBoundValues:
         report = build_bound_report(ExperimentSpec(OMM20, cfg()), rows)
         assert report.rows[0].bound == bound_value("omm", OMM20, 21)
 
+    def test_single_repetition_has_no_interval(self):
+        rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
+        row = build_bound_report(ExperimentSpec(OMM20, cfg()), rows).rows[0]
+        assert row.empirical_mean == 100 < row.bound
+        assert math.isnan(row.ci_half_width)
+        assert not row.passed
+
     def test_inapplicable_pairings(self):
         with pytest.raises(ValueError):
             bound_value("omm", ProblemInstance.lotz(8), 9)

@@ -30,6 +30,16 @@ def half_sample(rng, size):
     return mask
 
 
+def value_slots(tuples, free=None):
+    """Slot mask per vector over every slot but ``free``, and the union of
+    the masks with more than one slot."""
+    masks: dict = {}
+    for i, t in enumerate(tuples):
+        if i != free:
+            masks[t] = masks.get(t, 0) | 1 << i
+    return masks, sum(mask for mask in masks.values() if mask & (mask - 1))
+
+
 def selector(*objectives):
     """Selector over the combined population, last vector as offspring."""
     sel = SteadyStateSelector(list(objectives), (-1, -1))
@@ -198,28 +208,41 @@ class TestSteadyStateSelector:
         for _ in range(60):
             m = int(rng.integers(2, 5))
             size = int(rng.integers(3, 9))
-            pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
+            pts = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size)]
             sel = SteadyStateSelector(list(pts), default_reference_point(m))
             for _ in range(20):
-                sel.set_offspring(tuple(map(int, rng.integers(0, 6, size=m))))
+                # offspring values above the initial maximum grow the tables
+                sel.set_offspring(tuple(map(int, rng.integers(0, 7, size=m))))
                 # with the offspring installed, every slot is live and the
-                # incremental bitsets must equal a from-scratch rebuild
+                # incremental state must equal a from-scratch rebuild
                 fresh = SteadyStateSelector(list(sel.tuples), sel.r)
-                assert sel.ge_rows == fresh.ge_rows
-                assert sel.ge_cols == fresh.ge_cols
                 assert sel.strict_cols == fresh.strict_cols
+                assert sel.dominated == fresh.dominated
+                for c in range(m):
+                    # a table may keep entries past the current maximum,
+                    # where no slot lies above the value
+                    width = len(fresh.le[c])
+                    assert len(sel.le[c]) == len(sel.ge[c]) >= width
+                    assert sel.le[c][:width] == fresh.le[c]
+                    assert sel.ge[c][:width] == fresh.ge[c]
+                    assert set(sel.le[c][width:]) <= {sel.full_mask}
+                    assert set(sel.ge[c][width:]) <= {0}
+                # the fresh build leaves its own last slot free, so the
+                # duplicate state is checked against a direct count
+                assert (sel.slots_by_value, sel.dup_mask) == value_slots(sel.tuples)
                 sel.commit_removal(sel.choose_removal(rng))
                 # multiplicities cover every slot except the freed one
-                expect: dict = {}
-                for i, t in enumerate(sel.tuples):
-                    if i != sel.free:
-                        expect[t] = expect.get(t, 0) + 1
-                assert sel.dup_counts == expect
-                dup_expect = 0
-                for i, t in enumerate(sel.tuples):
-                    if i != sel.free and expect[t] > 1:
-                        dup_expect |= 1 << i
-                assert sel.dup_mask == dup_expect
+                assert (sel.slots_by_value, sel.dup_mask) == value_slots(sel.tuples, sel.free)
+
+    def test_negative_objective_values_rejected(self):
+        # the value index is addressed by objective value
+        with pytest.raises(ValueError, match=">= 0"):
+            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2))
+        sel = selector((0, 2), (2, 0), (1, 1))
+        state = (list(sel.tuples), [list(c) for c in sel.le], [list(c) for c in sel.ge])
+        with pytest.raises(ValueError, match=">= 0"):
+            sel.set_offspring((3, -1))
+        assert (sel.tuples, sel.le, sel.ge) == state
 
     @settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
