@@ -87,38 +87,49 @@ def default_max_iterations(inst: ProblemInstance, cfg: AlgorithmConfig, mu: int)
     return max(1, int(100 * value))
 
 
-def _random_mask(n: int, rng: np.random.Generator) -> int:
-    mask = 0
-    for shift in range(0, n, 32):
-        width = min(32, n - shift)
-        mask |= int(rng.integers(1 << width)) << shift
-    return mask
+def _random_masks(n: int, count: int, rng: np.random.Generator) -> list[int]:
+    """``count`` uniform n-bit masks, each assembled from 32-bit chunks, low
+    chunk first.  One ``rng.integers`` call over the per-chunk highs draws
+    the same numbers, and leaves the stream in the same state, as one scalar
+    call per chunk."""
+    shifts = range(0, n, 32)
+    highs = [1 << min(32, n - shift) for shift in shifts]
+    draws = rng.integers(np.array(highs * count, dtype=np.int64)).tolist()
+    chunks = len(highs)
+    return [
+        sum(d << s for d, s in zip(draws[i : i + chunks], shifts))
+        for i in range(0, len(draws), chunks)
+    ]
 
 
 class _CoverageTracker:
-    """Incremental |f(P) intersect F*| with loss detection."""
+    """Incremental |f(P) intersect F*| with loss detection.
 
-    __slots__ = ("front", "counts", "covered", "trajectory", "violations")
+    ``index`` numbers the front's vectors once, so each add or remove
+    hashes its vector once: a vector with no number is not on the front.
+    """
+
+    __slots__ = ("index", "counts", "covered", "trajectory", "violations")
 
     def __init__(self, front: FrontDescriptor):
-        self.front = front.points
-        self.counts: dict[tuple[int, ...], int] = {}
+        self.index = {p: i for i, p in enumerate(front.points)}
+        self.counts = [0] * len(self.index)
         self.covered = 0
         self.trajectory: list[tuple[int, int]] = []
         self.violations = 0
 
     def add(self, obj: tuple[int, ...]) -> None:
-        if obj in self.front:
-            c = self.counts.get(obj, 0) + 1
-            self.counts[obj] = c
-            if c == 1:
+        i = self.index.get(obj)
+        if i is not None:
+            self.counts[i] += 1
+            if self.counts[i] == 1:
                 self.covered += 1
 
     def remove(self, obj: tuple[int, ...]) -> None:
-        if obj in self.front:
-            c = self.counts[obj] - 1
-            self.counts[obj] = c
-            if c == 0:
+        i = self.index.get(obj)
+        if i is not None:
+            self.counts[i] -= 1
+            if self.counts[i] == 0:
                 self.covered -= 1
                 self.violations += 1
 
@@ -168,19 +179,28 @@ def sms_emoa_run(
     front = inst.pareto_front()
     track_inner = inst.kind == "mojzj"
 
-    genomes = [_random_mask(n, rng) for _ in range(mu)] + [0]
+    genomes = _random_masks(n, mu, rng) + [0]
     tuples: list[tuple[int, ...]] = [()] * (mu + 1)
     cov = _CoverageTracker(front)
     levels = [0] * (mu + 1)
     level_hist = [0] * (m // 2 + 1)
     inner_traj: list[tuple[int, int]] = []
+    # a block's objective pair fixes its ones-count, so the vector fixes the
+    # inner level: compute it once per distinct vector
+    level_of: dict[tuple[int, ...], int] = {}
+
+    def level(mask: int, obj: tuple[int, ...]) -> int:
+        lvl = level_of.get(obj)
+        if lvl is None:
+            lvl = level_of[obj] = inner_level(mask, inst)
+        return lvl
 
     for i in range(mu):
         t = inst.evaluate_mask(genomes[i])
         tuples[i] = t
         cov.add(t)
         if track_inner:
-            levels[i] = inner_level(genomes[i], inst)
+            levels[i] = level(genomes[i], t)
             level_hist[levels[i]] += 1
     tuples[mu] = tuples[0]
     cov.record(0)
@@ -208,7 +228,7 @@ def sms_emoa_run(
             selector.set_offspring(cobj)
             cov.add(cobj)
             if track_inner:
-                levels[free] = inner_level(child, inst)
+                levels[free] = level(child, cobj)
                 level_hist[levels[free]] += 1
 
             if stochastic:
@@ -278,7 +298,7 @@ def gsemo_run(
     front = inst.pareto_front()
     cov = _CoverageTracker(front)
 
-    start = _random_mask(n, rng)
+    start = _random_masks(n, 1, rng)[0]
     masks = [start]
     tuples = [inst.evaluate_mask(start)]
     cov.add(tuples[0])
@@ -309,12 +329,7 @@ def gsemo_run(
                 masks, tuples = keep_masks, keep_tuples
                 max_pop = max(max_pop, len(masks))
             if verify_antichain_every and t_iter % verify_antichain_every == 0:
-                for i in range(len(tuples)):
-                    for j in range(i + 1, len(tuples)):
-                        if weakly_dominates(tuples[i], tuples[j]) or weakly_dominates(
-                            tuples[j], tuples[i]
-                        ):
-                            antichain_violations += 1
+                antichain_violations += _comparable_pairs(tuples)
             cov.record(t_iter)
             if hit is None and cov.covered == front.size:
                 hit = t_iter
@@ -333,3 +348,14 @@ def gsemo_run(
         antichain_violations=antichain_violations,
     )
 
+
+def _comparable_pairs(tuples: list[tuple[int, ...]]) -> int:
+    """Number of pairs i < j in which either vector weakly dominates the
+    other: zero exactly when the vectors form an antichain without
+    duplicates."""
+    if len({len(t) for t in tuples}) > 1:
+        raise ValueError("objective vectors differ in length")
+    a = np.array(tuples)
+    ge = (a[:, None, :] >= a[None, :, :]).all(axis=2)
+    # the relation is symmetric with a true diagonal: each pair counts twice
+    return (int((ge | ge.T).sum()) - len(tuples)) // 2

@@ -8,12 +8,16 @@ For ``mojzj`` the n bits split into m/2 blocks of length n' = 2n/m; block i
 drives the objective pair (f_{2i-1}, f_{2i}) via the jump function applied
 to the block and to its complement.  The Pareto front has the closed form
 generated by :meth:`ProblemInstance.pareto_front`, of size (n' - 2k + 3)^(m/2).
+
+A block's objective pair depends only on its ones-count, so each mojzj and
+momm instance tabulates the n'+1 possible pairs once and
+:meth:`ProblemInstance.evaluate_mask` reads one entry per block.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import ObjectiveVector
@@ -45,12 +49,18 @@ class ProblemInstance:
 
     kind: one of "mojzj", "momm", "omm", "lotz".
     k is the gap size and only meaningful for mojzj.
+    For mojzj and momm, ``_pair_table[c]`` is the objective pair of a block
+    with c ones; it is derived from the parameters, so it takes no part in
+    equality, hashing or repr.
     """
 
     kind: str
     n: int
     m: int
     k: int | None = None
+    _pair_table: tuple[tuple[int, int], ...] | None = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -73,6 +83,16 @@ class ProblemInstance:
                 )
         elif self.k is not None:
             raise ValueError(f"k is only valid for mojzj, not {self.kind}")
+        np_, k = self.nprime, self.k
+        if self.kind == "mojzj":
+            table = tuple(
+                (jump_value(c, np_, k), jump_value(np_ - c, np_, k)) for c in range(np_ + 1)
+            )
+        elif self.kind == "momm":
+            table = tuple((np_ - c, c) for c in range(np_ + 1))
+        else:
+            table = None
+        object.__setattr__(self, "_pair_table", table)
 
     @property
     def nprime(self) -> int:
@@ -106,23 +126,22 @@ class ProblemInstance:
         return [((mask >> (i * np_)) & bm).bit_count() for i in range(self.m // 2)]
 
     def evaluate_mask(self, mask: int) -> ObjectiveVector:
-        """Objective vector of a packed genome of n bits."""
-        if mask >> self.n:  # also catches a negative mask
-            raise ValueError(f"genome {mask:#x} does not fit in n={self.n} bits")
-        if self.kind == "mojzj":
-            np_, k = self.nprime, self.k
-            out: list[int] = []
-            for c in self.block_ones(mask):
-                out.append(jump_value(c, np_, k))
-                out.append(jump_value(np_ - c, np_, k))
-            return tuple(out)
-        if self.kind == "momm":
-            np_ = self.nprime
-            out = []
-            for c in self.block_ones(mask):
-                out.append(np_ - c)
-                out.append(c)
-            return tuple(out)
+        """Objective vector of a packed genome of n bits.
+
+        mojzj and momm take one step per block: shift, popcount, and look up
+        the block's objective pair in the instance's table.
+        """
+        n = self.n
+        if mask >> n:  # also catches a negative mask
+            raise ValueError(f"genome {mask:#x} does not fit in n={n} bits")
+        table = self._pair_table
+        if table is not None:
+            np_ = 2 * n // self.m
+            low = (1 << np_) - 1
+            out: ObjectiveVector = ()
+            for shift in range(0, n, np_):
+                out += table[(mask >> shift & low).bit_count()]
+            return out
         ones = mask.bit_count()
         if self.kind == "omm":
             return (self.n - ones, ones)

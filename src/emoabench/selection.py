@@ -139,35 +139,42 @@ class SteadyStateSelector:
         self.r = r
         self.free = n - 1
         self.full_mask = (1 << n) - 1
+        # equal vectors share every table entry, cone and strict mask, so
+        # the set-up works per distinct vector
+        groups: dict[ObjectiveVector, int] = {}
+        for i, t in enumerate(tuples):
+            groups[t] = groups.get(t, 0) | (1 << i)
         self.le: list[list[int]] = []
         self.ge: list[list[int]] = []
-        for column in zip(*tuples):
+        for c, column in enumerate(zip(*groups)):
             if min(column) < 0:
                 raise ValueError(f"objective values must be >= 0, got {min(column)}")
             at = [0] * (max(column) + 1)
-            for i, v in enumerate(column):
-                at[v] |= 1 << i
+            for t, slots in groups.items():
+                at[t[c]] |= slots
             self.le.append(list(accumulate(at, or_)))
             self.ge.append(list(accumulate(reversed(at), or_))[::-1])
-        self.strict_cols: list[int] = []
+        self.strict_cols = [0] * n
         self.dominated = 0
-        for i, t in enumerate(tuples):
+        for t, slots in groups.items():
             above, below = self._cones(t)
             dominators = above & ~below
-            self.strict_cols.append(dominators)
             if dominators:
-                self.dominated |= 1 << i
+                self.dominated |= slots
+                for i in _slots(slots):
+                    self.strict_cols[i] = dominators
         # slot bitmask per objective vector; equal vectors always share a
         # front, so the union of multiply-occupied values (``dup_mask``)
         # decides the zero-contribution shortcut without recounting per front
+        free_bit = 1 << self.free
         self.slots_by_value: dict[ObjectiveVector, int] = {}
         self.dup_mask = 0
-        for i, t in enumerate(tuples):
-            if i != self.free:
-                m = self.slots_by_value.get(t, 0) | (1 << i)
-                self.slots_by_value[t] = m
-                if m & (m - 1):
-                    self.dup_mask |= m
+        for t, slots in groups.items():
+            slots &= ~free_bit
+            if slots:
+                self.slots_by_value[t] = slots
+                if slots & (slots - 1):
+                    self.dup_mask |= slots
 
     def _cones(self, obj: ObjectiveVector) -> tuple[int, int]:
         """(slots weakly dominating obj, slots weakly dominated by obj)."""
@@ -185,8 +192,13 @@ class SteadyStateSelector:
         bit = 1 << slot
         not_bit = ~bit
         old = self.tuples[slot]
-        above, below = self._cones(old)
-        lost = below & ~above  # slots the old occupant strictly dominated
+        # slots the old occupant strictly dominated; each has a strict
+        # dominator, so they all lie in ``dominated`` (none on an antichain)
+        strict = self.strict_cols
+        lost = 0
+        for j in _slots(self.dominated):
+            if strict[j] & bit:
+                lost |= 1 << j
         for le_c, ge_c, a, b in zip(self.le, self.ge, old, obj):
             if b < a:
                 for v in range(b, a):
@@ -204,7 +216,6 @@ class SteadyStateSelector:
         self.tuples[slot] = obj
         above, below = self._cones(obj)
         gained = below & ~above
-        strict = self.strict_cols
         strict[slot] = above & ~below
         dominated = (self.dominated | gained) & not_bit
         if strict[slot]:

@@ -7,12 +7,15 @@ import pytest
 
 from emoabench.algorithms import (
     AlgorithmConfig,
+    _comparable_pairs,
+    _random_masks,
     auto_mu,
     default_max_iterations,
     gsemo_run,
     sms_emoa_run,
 )
-from emoabench.benchmarks import ProblemInstance
+from emoabench.benchmarks import ProblemInstance, inner_level
+from emoabench.core import weakly_dominates
 from emoabench.harness import ExperimentSpec, run_experiment
 from emoabench.variation import MutationOperator
 
@@ -145,6 +148,56 @@ class TestGsemoRun:
     def test_oneminmax_population_bound(self):
         rec = gsemo_run(ProblemInstance.oneminmax(10), cfg(algo="gsemo", seed=4))
         assert rec.max_population_size <= 11
+
+
+class TestRunPathHelpers:
+    @pytest.mark.parametrize("n", [12, 16, 20, 32, 40, 70])
+    def test_one_call_initial_draw_matches_per_individual_draws(self, n):
+        def one_mask(rng):
+            # one scalar draw per 32-bit chunk, low chunk first
+            mask = 0
+            for shift in range(0, n, 32):
+                mask |= int(rng.integers(1 << min(32, n - shift))) << shift
+            return mask
+
+        for seed in range(3):
+            batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _random_masks(n, 50, batch) == [one_mask(single) for _ in range(50)]
+            assert batch.bit_generator.state == single.bit_generator.state
+            assert _random_masks(n, 1, batch) == [one_mask(single)]
+            assert batch.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "inst", [ProblemInstance.mojzj(16, 8, 1), ProblemInstance.mojzj(12, 4, 3)], ids=str
+    )
+    def test_objective_vector_fixes_the_inner_level(self, inst):
+        # the run reads a genome's inner level by its objective vector
+        level_of = {}
+        for mask in range(1 << inst.n):
+            level = inner_level(mask, inst)
+            assert level_of.setdefault(inst.evaluate_mask(mask), level) == level
+
+    @pytest.mark.parametrize(
+        "archive",
+        [
+            [(3, 1, 0, 2), (1, 3, 2, 0), (2, 2, 1, 1)],  # antichain
+            [(3, 1, 0, 2), (2, 1, 0, 2), (1, 3, 2, 0)],  # one dominated pair
+            [(3, 1, 0, 2), (1, 3, 2, 0), (3, 1, 0, 2), (3, 1, 0, 2)],  # a triplicate
+            [(2, 2), (1, 1), (2, 2), (0, 3), (1, 1)],
+            [(5,)],
+        ],
+    )
+    def test_comparable_pairs_match_pairwise_definition(self, archive):
+        expected = sum(
+            weakly_dominates(u, v) or weakly_dominates(v, u)
+            for i, u in enumerate(archive)
+            for v in archive[i + 1 :]
+        )
+        assert _comparable_pairs(archive) == expected
+
+    def test_comparable_pairs_check_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            _comparable_pairs([(1, 2), (2, 1, 0)])
 
 
 class TestDispatchAndCoverage:

@@ -5,6 +5,8 @@ oracles in emoabench.oracle and by hand evaluation of the definitions, then
 pinned.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -131,6 +133,48 @@ class TestEvaluators:
         assert ProblemInstance.oneminmax(12).evaluate_mask(mask) == (
             string.count(0), string.count(1)
         )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance.mojzj(8, 4, 1),
+            ProblemInstance.mojzj(8, 4, 2),
+            ProblemInstance.mojzj(12, 6, 1),
+            ProblemInstance.mojzj(12, 2, 3),
+            ProblemInstance.mojzj(16, 8, 1),
+            ProblemInstance.momm(8, 4),
+            ProblemInstance.momm(12, 6),
+        ],
+        ids=str,
+    )
+    def test_block_table_matches_definition_on_every_mask(self, inst):
+        np_, k = inst.nprime, inst.k
+        for mask in range(1 << inst.n):
+            expected = []
+            for b in range(inst.m // 2):
+                c = sum((mask >> i) & 1 for i in range(b * np_, (b + 1) * np_))
+                if inst.kind == "mojzj":
+                    expected += [jump_value(c, np_, k), jump_value(np_ - c, np_, k)]
+                else:
+                    expected += [np_ - c, c]
+            assert inst.evaluate_mask(mask) == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [ProblemInstance.mojzj(12, 4, 2), ProblemInstance.momm(12, 6), ProblemInstance.lotz(7)],
+        ids=str,
+    )
+    def test_block_table_is_not_part_of_identity(self, inst):
+        twin = ProblemInstance(inst.kind, inst.n, inst.m, inst.k)
+        assert twin == inst and hash(twin) == hash(inst)
+        assert hash(inst) == hash((inst.kind, inst.n, inst.m, inst.k))
+        assert repr(inst) == (
+            f"ProblemInstance(kind={inst.kind!r}, n={inst.n}, m={inst.m}, k={inst.k!r})"
+        )
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and hash(copy) == hash(inst) and repr(copy) == repr(inst)
+        assert copy.evaluate_mask(0b101101) == inst.evaluate_mask(0b101101)
+        assert ProblemInstance.mojzj(12, 4, 1) != ProblemInstance.mojzj(12, 4, 2)
 
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
     def test_lotz_matches_definition(self, mask):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from emoabench.core import dominates
 from emoabench.oracle import front_indices, select_removal_index
 from emoabench.selection import (
     SteadyStateSelector,
@@ -202,6 +203,34 @@ class TestSteadyStateSelector:
                 # the reference returns the index in the full array already
                 b = select_removal_index(arr, r, np.random.default_rng(s), sub)
                 assert a == b
+
+    def test_setup_matches_definitions(self):
+        rng = np.random.default_rng(5)
+        seen_dup = seen_dominated = 0
+        for m in range(2, 9):
+            for _ in range(12):
+                size = int(rng.integers(2, 14))
+                # drawing slots from a small pool of vectors makes duplicates
+                # and dominated members common
+                pool = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size // 2 + 1)]
+                pts = [pool[int(rng.integers(len(pool)))] for _ in range(size)]
+                sel = SteadyStateSelector(list(pts), default_reference_point(m))
+                for c in range(m):
+                    values = range(max(t[c] for t in pts) + 1)
+                    assert sel.le[c] == [
+                        sum(1 << i for i, t in enumerate(pts) if t[c] <= v) for v in values
+                    ]
+                    assert sel.ge[c] == [
+                        sum(1 << i for i, t in enumerate(pts) if t[c] >= v) for v in values
+                    ]
+                strict = [sum(1 << i for i, u in enumerate(pts) if dominates(u, t)) for t in pts]
+                assert sel.strict_cols == strict
+                assert sel.dominated == sum(1 << j for j, col in enumerate(strict) if col)
+                # the last slot starts free and holds no population member
+                assert (sel.slots_by_value, sel.dup_mask) == value_slots(pts, size - 1)
+                seen_dup += sel.dup_mask != 0
+                seen_dominated += sel.dominated != 0
+        assert seen_dup > 20 and seen_dominated > 20
 
     def test_incremental_state_matches_rebuild(self):
         rng = np.random.default_rng(3)
