@@ -182,11 +182,11 @@ def sms_emoa_run(
     genomes = _random_masks(n, mu, rng) + [0]
     tuples: list[tuple[int, ...]] = [()] * (mu + 1)
     cov = _CoverageTracker(front)
-    levels = [0] * (mu + 1)
     level_hist = [0] * (m // 2 + 1)
     inner_traj: list[tuple[int, int]] = []
     # a block's objective pair fixes its ones-count, so the vector fixes the
-    # inner level: compute it once per distinct vector
+    # inner level: compute it once per distinct vector, and read a removed
+    # member's level back by its vector
     level_of: dict[tuple[int, ...], int] = {}
 
     def level(mask: int, obj: tuple[int, ...]) -> int:
@@ -200,8 +200,7 @@ def sms_emoa_run(
         tuples[i] = t
         cov.add(t)
         if track_inner:
-            levels[i] = level(genomes[i], t)
-            level_hist[levels[i]] += 1
+            level_hist[level(genomes[i], t)] += 1
     tuples[mu] = tuples[0]
     cov.record(0)
     if track_inner:
@@ -228,8 +227,7 @@ def sms_emoa_run(
             selector.set_offspring(cobj)
             cov.add(cobj)
             if track_inner:
-                levels[free] = level(child, cobj)
-                level_hist[levels[free]] += 1
+                level_hist[level(child, cobj)] += 1
 
             if stochastic:
                 eligible = 0
@@ -241,7 +239,7 @@ def sms_emoa_run(
 
             cov.remove(tuples[removed])
             if track_inner:
-                level_hist[levels[removed]] -= 1
+                level_hist[level_of[tuples[removed]]] -= 1
                 top = _max_level(level_hist)
                 if inner_traj[-1][1] != top:
                     inner_traj.append((t_iter, top))

@@ -19,12 +19,15 @@ from pathlib import Path
 
 from .algorithms import AlgorithmConfig
 from .benchmarks import parse_problem
-from .harness import ExperimentSpec, run_experiment, summarize
+from .harness import ALGO_NAMES, ExperimentSpec, run_experiment, summarize
 from .oracle import OracleBudget, run_verification
 from .variation import MutationOperator
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
+
+ALGOS = {short: name for name, short in ALGO_NAMES.items()}
+SWITCHES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,18 +38,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment."""
-    out: dict[str, str] = {}
+def _config_flags(path: str, keys: set[str]) -> list[str]:
+    """A flat key=value config file as ``run`` flags, so argparse checks its
+    values as it checks the command line; a key is a long flag name without
+    its dashes, ``bounds`` takes true/false, and '#' starts a comment."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        out[key.strip()] = value.strip()
-    return out
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key != "bounds":
+            flags.append(f"--{key}={value}")
+        elif value.lower() not in SWITCHES:
+            raise ValueError(f"{path}:{lineno}: bounds must be true or false, got {value!r}")
+        elif SWITCHES[value.lower()]:
+            flags.append("--bounds")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,23 +68,26 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", help="run seeded repetitions and write a CSV", add_help=True
     )
-    run_p.add_argument("--config", help="key=value config file; flags override it")
+    run_p.add_argument(
+        "--config",
+        help="key=value file of run options (e.g. 'max-iters = 500'); flags override it",
+    )
     run_p.add_argument("--problem", help="e.g. mojzj:n=8,m=4,k=2 | omm:n=20 | lotz:n=20")
-    run_p.add_argument("--algo", choices=["sms", "gsemo"], default=None)
-    run_p.add_argument("--mu", default=None, help="population size or 'auto'")
-    run_p.add_argument("--mutation", choices=["standard", "heavy"], default=None)
-    run_p.add_argument("--beta", type=float, default=None, help="power-law exponent (heavy mutation)")
-    run_p.add_argument("--update", choices=["standard", "stochastic"], default=None)
+    run_p.add_argument("--algo", choices=list(ALGOS), default="sms")
+    run_p.add_argument("--mu", default="auto", help="population size or 'auto'")
+    run_p.add_argument("--mutation", choices=["standard", "heavy"], default="standard")
+    run_p.add_argument("--beta", type=float, default=1.5, help="power-law exponent (heavy mutation)")
+    run_p.add_argument("--update", choices=["standard", "stochastic"], default="standard")
     run_p.add_argument(
         "--refpoint", default=None,
         help="hypervolume reference point as comma-separated ints (default all -1)",
     )
-    run_p.add_argument("--reps", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None, help="master seed")
-    run_p.add_argument("--max-iters", default=None, help="iteration cap or 'auto'")
+    run_p.add_argument("--reps", type=int, default=1)
+    run_p.add_argument("--seed", type=int, default=0, help="master seed")
+    run_p.add_argument("--max-iters", default="auto", help="iteration cap or 'auto'")
     run_p.add_argument("--out", default=None, help="CSV output path")
     run_p.add_argument("--bounds", action="store_true", help="print the bound report")
-    run_p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    run_p.add_argument("--jobs", type=int, default=None, help="parallel workers (>= 1)")
 
     verify_p = sub.add_parser("verify", help="run the brute-force oracle suite")
     verify_p.add_argument("--max-n", type=int, default=14, help="exhaustive enumeration cap")
@@ -84,56 +99,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    value = getattr(args, key.replace("-", "_"))
-    if value is not None:
-        return value
-    if getattr(args, "_config", None) and key in args._config:
-        return args._config[key]
-    return default
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    args._config = _read_config_file(args.config) if args.config else {}
-    problem_spec = _merged(args, "problem", None)
-    if problem_spec is None:
+    if args.problem is None:
         print("error: --problem is required (flag or config file)", file=sys.stderr)
         return USAGE_ERROR
-    inst = parse_problem(str(problem_spec))
-
-    algo = {"sms": "sms_emoa", "gsemo": "gsemo"}[str(_merged(args, "algo", "sms"))]
-    mu_raw = str(_merged(args, "mu", "auto"))
-    mu = None if mu_raw == "auto" else int(mu_raw)
-    mutation_kind = str(_merged(args, "mutation", "standard"))
-    beta = _merged(args, "beta", 1.5)
-    if mutation_kind == "heavy":
-        mutation = MutationOperator("heavy_tailed", float(beta))
+    inst = parse_problem(args.problem)
+    if args.mutation == "heavy":
+        mutation = MutationOperator("heavy_tailed", args.beta)
     else:
         mutation = MutationOperator("standard")
-    update = str(_merged(args, "update", "standard"))
-    refpoint_raw = _merged(args, "refpoint", None)
     refpoint = (
-        tuple(int(v) for v in str(refpoint_raw).split(","))
-        if refpoint_raw is not None
-        else None
+        tuple(int(v) for v in args.refpoint.split(",")) if args.refpoint is not None else None
     )
-    max_raw = str(_merged(args, "max-iters", "auto"))
-    max_iters = None if max_raw == "auto" else int(max_raw)
-    reps = int(_merged(args, "reps", 1))
-    seed = int(_merged(args, "seed", 0))
-    out = _merged(args, "out", None)
-
     cfg = AlgorithmConfig(
-        algo=algo, mu=mu, mutation=mutation, update=update,
-        max_iterations=max_iters, seed=seed, refpoint=refpoint,
+        algo=ALGOS[args.algo],
+        mu=None if args.mu == "auto" else int(args.mu),
+        mutation=mutation,
+        update=args.update,
+        max_iterations=None if args.max_iters == "auto" else int(args.max_iters),
+        seed=args.seed,
+        refpoint=refpoint,
     )
     spec = ExperimentSpec(
-        problem=inst, config=cfg, repetitions=reps, master_seed=seed,
-        out=Path(out) if out else None, bound_report=bool(args.bounds),
+        problem=inst, config=cfg, repetitions=args.reps, master_seed=args.seed,
+        out=Path(args.out) if args.out else None, bound_report=args.bounds,
     )
     rows, report = run_experiment(spec, jobs=args.jobs)
     summary = summarize(rows)
-    print(f"problem={inst} algo={cfg.algo} mu={mu_raw} mutation={mutation.kind} update={update}")
+    print(
+        f"problem={inst} algo={cfg.algo} mu={args.mu} mutation={mutation.kind} "
+        f"update={cfg.update}"
+    )
     print(
         f"reps={summary.repetitions} censored={summary.censored} "
         f"mean_iters={summary.mean_iterations:.1f} median={summary.median_iterations:.1f} "
@@ -153,8 +149,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"bound[{row.theorem}]: closed-form={row.bound:.1f} "
                 f"mean={row.empirical_mean:.1f} ci95_half={row.ci_half_width:.1f} -> {status}"
             )
-    if out:
-        print(f"wrote {len(rows)} rows to {out}")
+    if args.out:
+        print(f"wrote {len(rows)} rows to {args.out}")
     return VERIFY_ERROR if failed else 0
 
 
@@ -179,10 +175,15 @@ def _cmd_front(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
+            if args.config:
+                # the file's flags go first, so the command line overrides them
+                keys = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+                args = parser.parse_args(["run", *_config_flags(args.config, keys), *argv[1:]])
             return _cmd_run(args)
         if args.command == "verify":
             return _cmd_verify(args)

@@ -13,6 +13,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -173,38 +174,32 @@ def run_experiment(
     spec: ExperimentSpec, jobs: int | None = None
 ) -> tuple[list[ResultRow], BoundReport | None]:
     """Execute all repetitions (in parallel), optionally writing CSV rows
-    incrementally, and build the bound report if requested."""
+    incrementally, and build the bound report if requested.  One job runs
+    the repetitions in this process."""
+    if jobs is None:
+        jobs = min(os.cpu_count() or 1, spec.repetitions)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     args = [
         (spec.problem, spec.config, spec.master_seed, rep)
         for rep in range(spec.repetitions)
     ]
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, spec.repetitions)
     rows: list[ResultRow] = []
-    writer = None
-    fh = None
-    if spec.out is not None:
-        fh = open(spec.out, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-    try:
+    with ExitStack() as stack:
+        fh = writer = None
+        if spec.out is not None:
+            fh = stack.enter_context(open(spec.out, "w", newline=""))
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                iterator = pool.map(_one_rep, args)
-                for row in iterator:
-                    rows.append(row)
-                    if writer is not None:
-                        writer.writerow(row.as_csv())
-                        fh.flush()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_one_rep, args)
         else:
-            for a in args:
-                row = _one_rep(a)
-                rows.append(row)
-                if writer is not None:
-                    writer.writerow(row.as_csv())
-                    fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
+            results = map(_one_rep, args)
+        for row in results:
+            rows.append(row)
+            if writer is not None:
+                writer.writerow(row.as_csv())
+                fh.flush()
     report = build_bound_report(spec, rows) if spec.bound_report else None
     return rows, report

@@ -12,7 +12,9 @@ be evaluated.
 The selector answers dominance queries from a per-objective value index, so
 installing an offspring costs time in its change of value, not in the
 population size, and a mask of strictly dominated slots lets the last-front
-peel return at once on an antichain.
+peel return at once on an antichain.  The same index tells which slots
+share a vector (those both weakly above and weakly below it), so
+duplicates need no record of their own.
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ def hv_contribution(points: Sequence[ObjectiveVector], index: int, r: ReferenceP
     pts = list(points)
     if not 0 <= index < len(pts):
         raise ValueError(f"index {index} out of range for {len(pts)} points")
-    if pts.count(pts[index]) > 1:
-        return 0
     return hypervolume(pts, r) - hypervolume(pts[:index] + pts[index + 1 :], r)
 
 
@@ -121,16 +121,18 @@ class SteadyStateSelector:
     All sets are plain-int slot bitmasks.  ``le[c][v]`` (``ge[c][v]``) holds
     the slots whose coordinate c is <= v (>= v), so the AND of m entries
     gives the slots weakly above or below a vector; objectives must be
-    non-negative integers to index them.  ``strict_cols[j]`` holds the slots
-    strictly dominating j and ``dominated`` the slots with any strict
-    dominator.  Installing an offspring moves its slot's bits only across the
-    values between its old and new coordinates and touches only the strict
-    bits that change.
+    non-negative integers to index them; the slots both above and below a
+    vector are those holding it.  ``strict_cols[j]`` holds the slots strictly
+    dominating j, ``dominated`` the slots with any strict dominator and
+    ``dup_mask`` the population slots whose vector some other population
+    slot shares.  Installing an offspring moves its slot's bits only across
+    the values between its old and new coordinates and touches only the
+    strict bits that change.
     """
 
     __slots__ = (
-        "tuples", "r", "le", "ge", "strict_cols", "dominated",
-        "slots_by_value", "dup_mask", "full_mask", "free"
+        "tuples", "r", "le", "ge", "strict_cols", "dominated", "dup_mask",
+        "full_mask", "free"
     )
 
     def __init__(self, tuples: list[ObjectiveVector], r: ReferencePoint):
@@ -156,6 +158,11 @@ class SteadyStateSelector:
             self.ge.append(list(accumulate(reversed(at), or_))[::-1])
         self.strict_cols = [0] * n
         self.dominated = 0
+        # equal vectors always share a front, so the union of the shared
+        # vectors' slots decides the zero-contribution shortcut without a
+        # recount per front; the free slot holds no population member
+        self.dup_mask = 0
+        not_free = ~(1 << self.free)
         for t, slots in groups.items():
             above, below = self._cones(t)
             dominators = above & ~below
@@ -163,18 +170,9 @@ class SteadyStateSelector:
                 self.dominated |= slots
                 for i in _slots(slots):
                     self.strict_cols[i] = dominators
-        # slot bitmask per objective vector; equal vectors always share a
-        # front, so the union of multiply-occupied values (``dup_mask``)
-        # decides the zero-contribution shortcut without recounting per front
-        free_bit = 1 << self.free
-        self.slots_by_value: dict[ObjectiveVector, int] = {}
-        self.dup_mask = 0
-        for t, slots in groups.items():
-            slots &= ~free_bit
-            if slots:
-                self.slots_by_value[t] = slots
-                if slots & (slots - 1):
-                    self.dup_mask |= slots
+            live = slots & not_free
+            if live & (live - 1):
+                self.dup_mask |= live
 
     def _cones(self, obj: ObjectiveVector) -> tuple[int, int]:
         """(slots weakly dominating obj, slots weakly dominated by obj)."""
@@ -227,10 +225,9 @@ class SteadyStateSelector:
         for j in _slots(gained & ~lost):
             strict[j] |= bit
         self.dominated = dominated
-        m = self.slots_by_value.get(obj, 0) | bit
-        self.slots_by_value[obj] = m
-        if m & (m - 1):
-            self.dup_mask |= m
+        equal = above & below
+        if equal & (equal - 1):
+            self.dup_mask |= equal
 
     def _last_front(self, alive: int) -> int:
         # only slots with some strict dominator can fall behind the first
@@ -256,15 +253,9 @@ class SteadyStateSelector:
                 # duplicated slots are exactly the zero-contribution members
                 return _nth_set_bit(d, int(rng.integers(d.bit_count())))
         members = _slots(last_mask)
-        if eligible is not None:
-            local: dict[ObjectiveVector, int] = {}
-            for i in members:
-                local[t[i]] = local.get(t[i], 0) + 1
-            dup = [i for i in members if local[t[i]] > 1]
-            if dup:
-                return dup[int(rng.integers(len(dup)))]
         if len(members) == 1:
             return members[0]
+        # duplicated members, if any, are exactly the minimal ones
         pick = min_contribution_indices([t[i] for i in members], self.r)
         return members[pick[int(rng.integers(len(pick)))]]
 
@@ -275,17 +266,14 @@ class SteadyStateSelector:
         population member: the next :meth:`set_offspring` replaces exactly
         that slot.
         """
-        v = self.tuples[removed]
         bit = 1 << removed
-        m = self.slots_by_value[v] & ~bit
-        if m:
-            self.slots_by_value[v] = m
+        if self.dup_mask & bit:
             self.dup_mask &= ~bit
-            if not (m & (m - 1)):
-                self.dup_mask &= ~m
-        else:
-            del self.slots_by_value[v]
-            self.dup_mask &= ~bit
+            above, below = self._cones(self.tuples[removed])
+            rest = above & below & ~bit
+            if not (rest & (rest - 1)):
+                # a single holder is left: the vector is no longer shared
+                self.dup_mask &= ~rest
         self.free = removed
 
 

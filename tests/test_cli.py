@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import emoabench
 from emoabench.cli import main
 
 
@@ -13,6 +16,18 @@ def run_cli(*argv):
     """Invoke main() in-process, capturing stdout/stderr via capsys at the
     call site; returns the exit code."""
     return main(list(argv))
+
+
+def run_module(*argv):
+    """Run ``python -m emoabench.cli`` in a child process that imports the
+    package under test, installed or not."""
+    path = [str(Path(emoabench.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "emoabench.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
 
 
 class TestRun:
@@ -102,6 +117,51 @@ class TestRun:
         assert code == 0
         assert "lotz:n=6" in out
 
+    def test_config_file_matches_flags(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        options = {
+            "problem": "omm:n=8", "algo": "sms", "mu": "12", "mutation": "heavy",
+            "beta": "2.5", "update": "stochastic", "refpoint": "-2,-3", "reps": "2",
+            "seed": "4", "max-iters": "5000", "out": str(out),
+        }
+        conf = tmp_path / "exp.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in options.items()) + "bounds = true\n")
+        runs = []
+        for argv in (
+            ["--config", str(conf)],
+            [f"--{k}={v}" for k, v in options.items()] + ["--bounds"],
+        ):
+            code = run_cli("run", *argv)
+            with open(out, newline="") as fh:
+                rows = [row[:-1] for row in csv.reader(fh)]  # all but seconds
+            runs.append((code, capsys.readouterr().out, rows))
+        assert runs[0] == runs[1]
+        code, printed, rows = runs[0]
+        assert "bound[omm]" in printed and "mutation=heavy_tailed update=stochastic" in printed
+        assert rows[1][:10] == ["omm", "8", "2", "", "sms", "12", "heavy", "2.5", "stochastic", "4"]
+        assert len(rows) == 3
+
+    def test_config_file_rejects_unknown_keys_and_values(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("problem = omm:n=6\nrep = 50\nseeed = 3\nbounds = 1\n")
+        assert run_cli("run", "--config", str(conf)) == 1
+        assert "unknown key 'rep'" in capsys.readouterr().err
+        conf.write_text("problem = omm:n=6\nbounds = maybe\n")
+        assert run_cli("run", "--config", str(conf)) == 1
+        # file values go through the same checks as flags
+        conf.write_text("problem = omm:n=6\nalgo = nsga\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(conf))
+        assert exc.value.code == 1
+
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        for jobs in ("0", "-1"):
+            assert run_cli("run", "--problem", "omm:n=6", "--jobs", jobs) == 1
+            assert "jobs must be >= 1" in capsys.readouterr().err
+            conf = tmp_path / "exp.conf"
+            conf.write_text(f"problem = omm:n=6\njobs = {jobs}\n")
+            assert run_cli("run", "--config", str(conf)) == 1
+
     def test_missing_problem_is_usage_error(self, capsys):
         assert run_cli("run") == 1
 
@@ -135,29 +195,16 @@ class TestVerify:
 
 class TestExitCodesEndToEnd:
     def test_usage_error_via_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "emoabench.cli", "run", "--problem", "bad"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("run", "--problem", "bad")
         assert proc.returncode == 1
+        assert "error: unknown problem" in proc.stderr
 
     def test_unknown_flag_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "emoabench.cli", "run", "--nope"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("run", "--nope")
         assert proc.returncode == 1
+        assert "unrecognized arguments: --nope" in proc.stderr
 
     def test_success_via_subprocess(self):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "emoabench.cli",
-                "front", "--problem", "omm:n=4",
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("front", "--problem", "omm:n=4")
         assert proc.returncode == 0
         assert "0,4" in proc.stdout

@@ -32,13 +32,10 @@ def half_sample(rng, size):
 
 
 def value_slots(tuples, free=None):
-    """Slot mask per vector over every slot but ``free``, and the union of
-    the masks with more than one slot."""
-    masks: dict = {}
-    for i, t in enumerate(tuples):
-        if i != free:
-            masks[t] = masks.get(t, 0) | 1 << i
-    return masks, sum(mask for mask in masks.values() if mask & (mask - 1))
+    """Union of the slots, every slot but ``free``, whose vector another of
+    those slots shares."""
+    live = [t for i, t in enumerate(tuples) if i != free]
+    return sum(1 << i for i, t in enumerate(tuples) if i != free and live.count(t) > 1)
 
 
 def selector(*objectives):
@@ -111,6 +108,12 @@ class TestHypervolume:
         assert hv_contribution(front, 0, r) == 0
         assert hv_contribution(front, 1, r) == 0
         assert hv_contribution(front, 2, r) > 0
+
+    def test_contribution_of_duplicates_checks_reference(self):
+        # a duplicated vector contributes 0 only where hypervolume is defined
+        for pts, r in ([(1, 1), (1, 1)], (1, -1)), ([(0, 2), (0, 2), (2, 0)], (-1, -1, -1)):
+            with pytest.raises(ValueError):
+                hv_contribution(pts, 0, r)
 
     def test_contribution_requires_membership(self):
         for index in (1, -1):
@@ -227,7 +230,7 @@ class TestSteadyStateSelector:
                 assert sel.strict_cols == strict
                 assert sel.dominated == sum(1 << j for j, col in enumerate(strict) if col)
                 # the last slot starts free and holds no population member
-                assert (sel.slots_by_value, sel.dup_mask) == value_slots(pts, size - 1)
+                assert sel.dup_mask == value_slots(pts, size - 1)
                 seen_dup += sel.dup_mask != 0
                 seen_dominated += sel.dominated != 0
         assert seen_dup > 20 and seen_dominated > 20
@@ -258,10 +261,10 @@ class TestSteadyStateSelector:
                     assert set(sel.ge[c][width:]) <= {0}
                 # the fresh build leaves its own last slot free, so the
                 # duplicate state is checked against a direct count
-                assert (sel.slots_by_value, sel.dup_mask) == value_slots(sel.tuples)
+                assert sel.dup_mask == value_slots(sel.tuples)
                 sel.commit_removal(sel.choose_removal(rng))
                 # multiplicities cover every slot except the freed one
-                assert (sel.slots_by_value, sel.dup_mask) == value_slots(sel.tuples, sel.free)
+                assert sel.dup_mask == value_slots(sel.tuples, sel.free)
 
     def test_negative_objective_values_rejected(self):
         # the value index is addressed by objective value
