@@ -2,9 +2,10 @@
 
 Both run functions execute until the population's objective values cover the
 entire Pareto front or the iteration cap is reached; a capped run is marked
-censored rather than raising.  Coverage is tracked incrementally (a counter
-per attained front value), so the per-iteration bookkeeping is O(1) on top of
-selection.
+censored rather than raising.  One tracker per run owns every per-vector
+fact: a counter per attained front value gives coverage, its losses and the
+hitting time, and on mojzj a histogram of inner levels gives the best inner
+level, so the per-iteration bookkeeping is O(1) on top of selection.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .benchmarks import FrontDescriptor, ProblemInstance, inner_level
+from .benchmarks import ProblemInstance, inner_level
 from .core import dominates, weakly_dominates
 from .selection import SteadyStateSelector, default_reference_point
 from .variation import MutationOperator
@@ -50,11 +51,23 @@ class AlgorithmConfig:
             raise ValueError(f"population size must be >= 1, got {self.mu}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"iteration cap must be positive, got {self.max_iterations}")
+        if self.algo == "gsemo" and (
+            self.mu is not None or self.refpoint is not None or self.update != "standard"
+        ):
+            raise ValueError(
+                "gsemo keeps an unbounded archive and computes no hypervolume: "
+                "it takes no mu, refpoint or stochastic update"
+            )
 
 
 @dataclass(slots=True)
 class RunRecord:
-    """Outcome of a single run."""
+    """Outcome of a single run.
+
+    The trajectories list (iteration, value) at each change of value: the
+    number of covered front vectors and, on mojzj for both algorithms, the
+    largest inner level in the population (empty on other kinds).
+    """
 
     seed: int
     iterations_to_coverage: int | None
@@ -103,30 +116,47 @@ def _random_masks(n: int, count: int, rng: np.random.Generator) -> list[int]:
 
 
 class _CoverageTracker:
-    """Incremental |f(P) intersect F*| with loss detection.
+    """Every per-vector fact of a run: front coverage, its losses, the first
+    iteration of full coverage (``hit``) and, on mojzj, the best inner level.
 
-    ``index`` numbers the front's vectors once, so each add or remove
-    hashes its vector once: a vector with no number is not on the front.
+    ``facts`` maps each vector seen to (front number or None, inner level).
+    A block's objective pair fixes its ones-count, so the vector fixes both
+    and ``add`` reads the mask only on first sight; other kinds than mojzj
+    put every vector at level 0 and keep no inner trajectory.
     """
 
-    __slots__ = ("index", "counts", "covered", "trajectory", "violations")
+    __slots__ = (
+        "inst", "front", "facts", "counts", "levels", "covered", "hit",
+        "trajectory", "inner_trajectory", "violations",
+    )
 
-    def __init__(self, front: FrontDescriptor):
-        self.index = {p: i for i, p in enumerate(front.points)}
-        self.counts = [0] * len(self.index)
+    def __init__(self, inst: ProblemInstance):
+        self.inst = inst
+        self.front = {p: i for i, p in enumerate(inst.pareto_front().points)}
+        self.facts: dict[tuple[int, ...], tuple[int | None, int]] = {}
+        self.counts = [0] * len(self.front)
+        self.levels = [0] * (inst.m // 2 + 1)
         self.covered = 0
+        self.hit: int | None = None
         self.trajectory: list[tuple[int, int]] = []
+        self.inner_trajectory: list[tuple[int, int]] = []
         self.violations = 0
 
-    def add(self, obj: tuple[int, ...]) -> None:
-        i = self.index.get(obj)
+    def add(self, obj: tuple[int, ...], mask: int) -> None:
+        facts = self.facts.get(obj)
+        if facts is None:
+            level = inner_level(mask, self.inst) if self.inst.kind == "mojzj" else 0
+            facts = self.facts[obj] = (self.front.get(obj), level)
+        i, level = facts
+        self.levels[level] += 1
         if i is not None:
             self.counts[i] += 1
             if self.counts[i] == 1:
                 self.covered += 1
 
     def remove(self, obj: tuple[int, ...]) -> None:
-        i = self.index.get(obj)
+        i, level = self.facts[obj]
+        self.levels[level] -= 1
         if i is not None:
             self.counts[i] -= 1
             if self.counts[i] == 0:
@@ -136,6 +166,15 @@ class _CoverageTracker:
     def record(self, iteration: int) -> None:
         if not self.trajectory or self.trajectory[-1][1] != self.covered:
             self.trajectory.append((iteration, self.covered))
+            if self.hit is None and self.covered == len(self.counts):
+                self.hit = iteration
+        if self.inst.kind == "mojzj":
+            levels = self.levels
+            top = len(levels) - 1
+            while top and not levels[top]:
+                top -= 1
+            if not self.inner_trajectory or self.inner_trajectory[-1][1] != top:
+                self.inner_trajectory.append((iteration, top))
 
 
 def sms_emoa_run(
@@ -148,8 +187,8 @@ def sms_emoa_run(
         raise ValueError(f"config requests {cfg.algo!r}, not sms_emoa")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
     needed = auto_mu(inst, cfg.update)
+    mu = cfg.mu if cfg.mu is not None else needed
     if mu < needed:
         warnings.warn(
             f"mu={mu} is below the survival-guarantee regime (>= {needed} for "
@@ -176,97 +215,59 @@ def sms_emoa_run(
                 "coordinate: objective values start at 0"
             )
     r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(m)
-    front = inst.pareto_front()
-    track_inner = inst.kind == "mojzj"
 
     genomes = _random_masks(n, mu, rng) + [0]
     tuples: list[tuple[int, ...]] = [()] * (mu + 1)
-    cov = _CoverageTracker(front)
-    level_hist = [0] * (m // 2 + 1)
-    inner_traj: list[tuple[int, int]] = []
-    # a block's objective pair fixes its ones-count, so the vector fixes the
-    # inner level: compute it once per distinct vector, and read a removed
-    # member's level back by its vector
-    level_of: dict[tuple[int, ...], int] = {}
-
-    def level(mask: int, obj: tuple[int, ...]) -> int:
-        lvl = level_of.get(obj)
-        if lvl is None:
-            lvl = level_of[obj] = inner_level(mask, inst)
-        return lvl
-
+    cov = _CoverageTracker(inst)
     for i in range(mu):
-        t = inst.evaluate_mask(genomes[i])
-        tuples[i] = t
-        cov.add(t)
-        if track_inner:
-            level_hist[level(genomes[i], t)] += 1
+        t = tuples[i] = inst.evaluate_mask(genomes[i])
+        cov.add(t, genomes[i])
     tuples[mu] = tuples[0]
     cov.record(0)
-    if track_inner:
-        inner_traj.append((0, _max_level(level_hist)))
 
     selector = SteadyStateSelector(tuples, r)
     stochastic = cfg.update == "stochastic"
+    evaluate = inst.evaluate_mask
+    mutate = cfg.mutation.mutate_mask
+    integers = rng.integers
     iterations = 0
-    hit: int | None = 0 if cov.covered == front.size else None
-    if hit is None or not cfg.stop_at_coverage:
-        evaluate = inst.evaluate_mask
-        mutate = cfg.mutation.mutate_mask
-        integers = rng.integers
-        for t_iter in range(1, max_iters + 1):
-            iterations = t_iter
-            free = selector.free
-            # survivors occupy every slot except the free one
-            parent = int(integers(mu))
-            if parent >= free:
-                parent += 1
-            child = mutate(genomes[parent], n, rng)
-            cobj = evaluate(child)
-            genomes[free] = child
-            selector.set_offspring(cobj)
-            cov.add(cobj)
-            if track_inner:
-                level_hist[level(child, cobj)] += 1
+    for t_iter in range(1, max_iters + 1):
+        if cov.hit is not None and cfg.stop_at_coverage:
+            break
+        iterations = t_iter
+        free = selector.free
+        # survivors occupy every slot except the free one
+        parent = int(integers(mu))
+        if parent >= free:
+            parent += 1
+        child = mutate(genomes[parent], n, rng)
+        cobj = evaluate(child)
+        genomes[free] = child
+        selector.set_offspring(cobj)
+        cov.add(cobj, child)
 
-            if stochastic:
-                eligible = 0
-                for d in integers(mu + 1, size=(mu + 1) // 2).tolist():
-                    eligible |= 1 << d
-                removed = selector.choose_removal(rng, eligible)
-            else:
-                removed = selector.choose_removal(rng)
+        if stochastic:
+            eligible = 0
+            for d in integers(mu + 1, size=(mu + 1) // 2).tolist():
+                eligible |= 1 << d
+            removed = selector.choose_removal(rng, eligible)
+        else:
+            removed = selector.choose_removal(rng)
 
-            cov.remove(tuples[removed])
-            if track_inner:
-                level_hist[level_of[tuples[removed]]] -= 1
-                top = _max_level(level_hist)
-                if inner_traj[-1][1] != top:
-                    inner_traj.append((t_iter, top))
-            selector.commit_removal(removed)
-            cov.record(t_iter)
-            if hit is None and cov.covered == front.size:
-                hit = t_iter
-                if cfg.stop_at_coverage:
-                    break
+        cov.remove(tuples[removed])
+        selector.commit_removal(removed)
+        cov.record(t_iter)
 
     return RunRecord(
         seed=cfg.seed,
-        iterations_to_coverage=hit,
+        iterations_to_coverage=cov.hit,
         evaluations=mu + iterations,
-        censored=hit is None,
+        censored=cov.hit is None,
         coverage_trajectory=cov.trajectory,
-        inner_coverage_trajectory=inner_traj,
+        inner_coverage_trajectory=cov.inner_trajectory,
         coverage_violations=cov.violations,
         max_population_size=mu,
     )
-
-
-def _max_level(hist: list[int]) -> int:
-    for lvl in range(len(hist) - 1, -1, -1):
-        if hist[lvl]:
-            return lvl
-    return 0
 
 
 def gsemo_run(
@@ -286,61 +287,55 @@ def gsemo_run(
         raise ValueError(f"config requests {cfg.algo!r}, not gsemo")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    mu_for_cap = 1
     max_iters = (
         cfg.max_iterations
         if cfg.max_iterations is not None
-        else default_max_iterations(inst, cfg, mu_for_cap)
+        else default_max_iterations(inst, cfg, 1)
     )
     n = inst.n
-    front = inst.pareto_front()
-    cov = _CoverageTracker(front)
+    cov = _CoverageTracker(inst)
 
     start = _random_masks(n, 1, rng)[0]
     masks = [start]
     tuples = [inst.evaluate_mask(start)]
-    cov.add(tuples[0])
+    cov.add(tuples[0], start)
     cov.record(0)
     max_pop = 1
     antichain_violations = 0
 
     iterations = 0
-    hit: int | None = 0 if cov.covered == front.size else None
-    if hit is None or not cfg.stop_at_coverage:
-        for t_iter in range(1, max_iters + 1):
-            iterations = t_iter
-            parent = masks[int(rng.integers(len(masks)))]
-            child = cfg.mutation.mutate_mask(parent, n, rng)
-            cobj = inst.evaluate_mask(child)
-            if not any(dominates(p, cobj) for p in tuples):
-                cov.add(cobj)
-                keep_masks = []
-                keep_tuples = []
-                for gm, p in zip(masks, tuples):
-                    if weakly_dominates(cobj, p):
-                        cov.remove(p)
-                    else:
-                        keep_masks.append(gm)
-                        keep_tuples.append(p)
-                keep_masks.append(child)
-                keep_tuples.append(cobj)
-                masks, tuples = keep_masks, keep_tuples
-                max_pop = max(max_pop, len(masks))
-            if verify_antichain_every and t_iter % verify_antichain_every == 0:
-                antichain_violations += _comparable_pairs(tuples)
-            cov.record(t_iter)
-            if hit is None and cov.covered == front.size:
-                hit = t_iter
-                if cfg.stop_at_coverage:
-                    break
+    for t_iter in range(1, max_iters + 1):
+        if cov.hit is not None and cfg.stop_at_coverage:
+            break
+        iterations = t_iter
+        parent = masks[int(rng.integers(len(masks)))]
+        child = cfg.mutation.mutate_mask(parent, n, rng)
+        cobj = inst.evaluate_mask(child)
+        if not any(dominates(p, cobj) for p in tuples):
+            cov.add(cobj, child)
+            keep_masks = []
+            keep_tuples = []
+            for gm, p in zip(masks, tuples):
+                if weakly_dominates(cobj, p):
+                    cov.remove(p)
+                else:
+                    keep_masks.append(gm)
+                    keep_tuples.append(p)
+            keep_masks.append(child)
+            keep_tuples.append(cobj)
+            masks, tuples = keep_masks, keep_tuples
+            max_pop = max(max_pop, len(masks))
+        if verify_antichain_every and t_iter % verify_antichain_every == 0:
+            antichain_violations += _comparable_pairs(tuples)
+        cov.record(t_iter)
 
     return RunRecord(
         seed=cfg.seed,
-        iterations_to_coverage=hit,
+        iterations_to_coverage=cov.hit,
         evaluations=1 + iterations,
-        censored=hit is None,
+        censored=cov.hit is None,
         coverage_trajectory=cov.trajectory,
-        inner_coverage_trajectory=[],
+        inner_coverage_trajectory=cov.inner_trajectory,
         coverage_violations=cov.violations,
         max_population_size=max_pop,
         antichain_violations=antichain_violations,

@@ -151,8 +151,20 @@ class ProblemInstance:
         trailing = self.n - mask.bit_length()
         return (min(leading, self.n), trailing if mask else self.n)
 
+    @lru_cache(maxsize=None)
     def pareto_front(self) -> FrontDescriptor:
-        return _pareto_front(self)
+        """The front as every combination of one Pareto-optimal objective
+        pair per block; omm and lotz are the one-block case {(i, n - i)}."""
+        np_, k = self.nprime, self.k
+        if self.kind == "mojzj":
+            # attainable Pareto-optimal first-objective values per block
+            pairs = [(a, np_ + 2 * k - a) for a in {k, np_ + k, *range(2 * k, np_ + 1)}]
+        else:
+            pairs = [(np_ - c, c) for c in range(np_ + 1)]
+        return FrontDescriptor(frozenset(
+            tuple(v for pair in combo for v in pair)
+            for combo in itertools.product(pairs, repeat=self.m // 2)
+        ))
 
     def __str__(self) -> str:
         if self.kind == "mojzj":
@@ -160,30 +172,6 @@ class ProblemInstance:
         if self.kind == "momm":
             return f"momm:n={self.n},m={self.m}"
         return f"{self.kind}:n={self.n}"
-
-
-@lru_cache(maxsize=None)
-def _pareto_front(inst: ProblemInstance) -> FrontDescriptor:
-    if inst.kind == "mojzj":
-        np_, k = inst.nprime, inst.k
-        # attainable Pareto-optimal first-objective values per block
-        a_values = sorted({k, np_ + k} | set(range(2 * k, np_ + 1)))
-        pairs = [(a, np_ + 2 * k - a) for a in a_values]
-        pts = frozenset(
-            tuple(v for pair in combo for v in pair)
-            for combo in itertools.product(pairs, repeat=inst.m // 2)
-        )
-        return FrontDescriptor(pts)
-    if inst.kind == "momm":
-        np_ = inst.nprime
-        pairs = [(np_ - c, c) for c in range(np_ + 1)]
-        pts = frozenset(
-            tuple(v for pair in combo for v in pair)
-            for combo in itertools.product(pairs, repeat=inst.m // 2)
-        )
-        return FrontDescriptor(pts)
-    # omm and lotz both have the front {(i, n - i)}
-    return FrontDescriptor(frozenset((i, inst.n - i) for i in range(inst.n + 1)))
 
 
 def _require_mojzj(inst: ProblemInstance) -> None:

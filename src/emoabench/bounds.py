@@ -22,10 +22,6 @@ from .benchmarks import ProblemInstance
 THEOREMS = ("sms", "spu", "gsemo", "omm", "lotz")
 
 
-def front_size(inst: ProblemInstance) -> int:
-    return inst.pareto_front().size
-
-
 def incomparable_upper_bound(inst: ProblemInstance) -> int:
     """Upper bound on the largest incomparable set (distinct objective values)."""
     if inst.kind in ("mojzj", "momm"):
@@ -49,7 +45,7 @@ def bound_value(theorem: str, inst: ProblemInstance, mu: int) -> float:
         if inst.kind != "mojzj":
             raise ValueError(f"theorem {theorem!r} applies to mojzj instances only")
         m, k, np_ = inst.m, inst.k, inst.nprime
-        big_m = front_size(inst)
+        big_m = inst.pareto_front().size
         inner = (np_ - 2 * k + 1) ** (m // 2)
         first_inner = e * (m * k / 2) ** k * (1 + math.log(m))
         if theorem == "sms":

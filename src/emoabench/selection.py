@@ -90,21 +90,11 @@ def hv_contribution(points: Sequence[ObjectiveVector], index: int, r: ReferenceP
 
 
 def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoint) -> list[int]:
-    """Indices of minimal-contribution members of an antichain front.
-
-    Shortcut: any duplicated objective vector contributes zero, and inside an
-    antichain only duplicates do, so when duplicates exist they are exactly
-    the argmin set.
-    """
-    seen: dict[ObjectiveVector, int] = {}
-    for p in points:
-        seen[p] = seen.get(p, 0) + 1
-    dup = [i for i, p in enumerate(points) if seen[p] > 1]
-    if dup:
-        return dup
-    unique = list(points)
-    total = _hv(unique, r)
-    contribs = [total - _hv(unique[:i] + unique[i + 1 :], r) for i in range(len(unique))]
+    """Indices of the members of minimal leave-one-out hypervolume
+    contribution, ascending."""
+    pts = list(points)
+    total = _hv(pts, r)
+    contribs = [total - _hv(pts[:i] + pts[i + 1 :], r) for i in range(len(pts))]
     best = min(contribs)
     return [i for i, c in enumerate(contribs) if c == best]
 
@@ -255,8 +245,15 @@ class SteadyStateSelector:
         members = _slots(last_mask)
         if len(members) == 1:
             return members[0]
-        # duplicated members, if any, are exactly the minimal ones
-        pick = min_contribution_indices([t[i] for i in members], self.r)
+        pts = [t[i] for i in members]
+        seen: dict[ObjectiveVector, int] = {}
+        for p in pts:
+            seen[p] = seen.get(p, 0) + 1
+        # duplicated members, if any, are exactly the zero-contribution ones,
+        # so a hypervolume is evaluated only on a duplicate-free front
+        pick = [i for i, p in enumerate(pts) if seen[p] > 1]
+        if not pick:
+            pick = min_contribution_indices(pts, self.r)
         return members[pick[int(rng.integers(len(pick)))]]
 
     def commit_removal(self, removed: int) -> None:

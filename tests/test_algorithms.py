@@ -8,6 +8,7 @@ import pytest
 from emoabench.algorithms import (
     AlgorithmConfig,
     _comparable_pairs,
+    _CoverageTracker,
     _random_masks,
     auto_mu,
     default_max_iterations,
@@ -37,6 +38,12 @@ class TestConfig:
             cfg(mu=0)
         with pytest.raises(ValueError):
             cfg(max_iterations=0)
+
+    def test_gsemo_rejects_options_it_does_not_read(self):
+        for kw in (dict(mu=3), dict(refpoint=(-1, -1)), dict(update="stochastic")):
+            with pytest.raises(ValueError, match="gsemo"):
+                cfg(algo="gsemo", **kw)
+        assert cfg(algo="gsemo", update="standard").mu is None
 
     def test_auto_mu(self):
         assert auto_mu(MOJZJ8) == 25  # (n'+1)^(m/2)
@@ -149,6 +156,13 @@ class TestGsemoRun:
         rec = gsemo_run(ProblemInstance.oneminmax(10), cfg(algo="gsemo", seed=4))
         assert rec.max_population_size <= 11
 
+    def test_inner_trajectory_tracked_for_jump_variant(self):
+        rec = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=5))
+        assert rec.inner_coverage_trajectory[0][0] == 0
+        assert rec.inner_coverage_trajectory[-1][1] == 2  # the front's inner optima
+        rec2 = gsemo_run(ProblemInstance.oneminmax(10), cfg(algo="gsemo", seed=5))
+        assert rec2.inner_coverage_trajectory == []
+
 
 class TestRunPathHelpers:
     @pytest.mark.parametrize("n", [12, 16, 20, 32, 40, 70])
@@ -200,6 +214,58 @@ class TestRunPathHelpers:
             _comparable_pairs([(1, 2), (2, 1, 0)])
 
 
+class TestCoverageTracker:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance.mojzj(8, 4, 2), ProblemInstance.mojzj(4, 2, 2),
+            ProblemInstance.oneminmax(4), ProblemInstance.lotz(4),
+        ],
+        ids=str,
+    )
+    def test_random_sequences_match_recount(self, inst):
+        """Random add/remove steps against a from-scratch recount of the
+        population after every operation."""
+        front = inst.pareto_front().points
+        hits = falls = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            cov = _CoverageTracker(inst)
+            pop: list[int] = []
+            covered: set = set()
+            violations, hit, traj, inner = 0, None, [], []
+            for t in range(300):
+                for _ in range(int(rng.integers(1, 4))):
+                    if len(pop) > 1 and (len(pop) >= 24 or rng.random() < 0.3):
+                        cov.remove(inst.evaluate_mask(pop.pop(int(rng.integers(len(pop))))))
+                    else:
+                        # a random density per block makes extreme blocks likely
+                        density = np.repeat(rng.random(inst.m // 2), inst.nprime)
+                        bits = np.flatnonzero(rng.random(inst.n) < density)
+                        mask = sum(1 << int(b) for b in bits)
+                        pop.append(mask)
+                        cov.add(inst.evaluate_mask(mask), mask)
+                    now = {inst.evaluate_mask(x) for x in pop} & front
+                    violations += len(covered - now)
+                    covered = now
+                cov.record(t)
+                if not traj or traj[-1][1] != len(covered):
+                    traj.append((t, len(covered)))
+                if hit is None and covered == front:
+                    hit = t
+                if inst.kind == "mojzj":
+                    top = max(inner_level(x, inst) for x in pop)
+                    if not inner or inner[-1][1] != top:
+                        falls += bool(inner) and top < inner[-1][1]
+                        inner.append((t, top))
+                assert (cov.covered, cov.violations, cov.hit) == (len(covered), violations, hit)
+                assert (cov.trajectory, cov.inner_trajectory) == (traj, inner)
+            hits += hit is not None
+        # the sequences reach full coverage and, on mojzj, lose inner levels
+        assert hits
+        assert falls or inst.kind != "mojzj"
+
+
 class TestDispatchAndCoverage:
     def test_run_dispatches(self):
         # the harness runs repetition 0 from the stream (master seed, 0)
@@ -249,6 +315,12 @@ GOLDEN_JUMP4_SPU = {
         (741, 19), (778, 20), (839, 21), (1285, 22), (1449, 23), (6560, 24), (14802, 25),
     ], [(0, 2)]),
 }
+# mu = 5 holds at most 5 of the 9 front vectors, so this run keeps losing
+# covered values, and its best inner level rises and falls again
+GOLDEN_JUMP12_K3_MU5 = (None, 4005, [
+    (0, 0), (4, 1), (6, 2), (506, 3), (2059, 4), (2992, 5),
+], [(0, 1), (4, 2), (3689, 1)], 3)
+
 
 def golden(rec):
     return (
@@ -269,3 +341,9 @@ class TestGoldenRuns:
         c = cfg(mu=99, update="stochastic", seed=seed)
         rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 2), c)
         assert golden(rec) == GOLDEN_JUMP4_SPU[seed]
+
+    def test_losses_and_falling_inner_level(self):
+        c = cfg(mu=5, max_iterations=4000, stop_at_coverage=False, seed=2)
+        with pytest.warns(UserWarning, match="survival-guarantee"):
+            rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 3), c)
+        assert (*golden(rec), rec.coverage_violations) == GOLDEN_JUMP12_K3_MU5

@@ -92,6 +92,19 @@ class TestRun:
         )
         assert code == 0
 
+    def test_gsemo_rejects_options_it_does_not_read(self, capsys):
+        base = ("run", "--problem", "mojzj:n=8,m=4,k=2", "--algo", "gsemo", "--reps", "1")
+        for extra in (
+            ("--mu", "3", "--update", "stochastic", "--refpoint", "5,5"),
+            ("--mu", "3"),
+            ("--update", "stochastic"),
+            ("--refpoint=-1,-1,-1,-1",),
+        ):
+            assert run_cli(*base, *extra) == 1
+            captured = capsys.readouterr()
+            assert "gsemo" in captured.err and captured.out == ""
+        assert run_cli(*base, "--mu", "auto", "--update", "standard") == 0
+
     def test_refpoint_flag(self, capsys):
         code = run_cli("run", "--problem", "omm:n=8", "--reps", "1", "--refpoint=-1,-1")
         assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from emoabench import selection
 from emoabench.core import dominates
 from emoabench.oracle import front_indices, select_removal_index
 from emoabench.selection import (
@@ -160,6 +161,19 @@ class TestRemovalChoice:
             assert eligible == 1 << removed
             seen.add(sel.tuples[removed])
         assert seen == {(0, 2), (2, 0)}
+
+    def test_sampled_front_evaluates_hypervolume_only_without_duplicates(self, monkeypatch):
+        calls = []
+        real = selection.min_contribution_indices
+        monkeypatch.setattr(
+            selection, "min_contribution_indices", lambda pts, r: calls.append(pts) or real(pts, r)
+        )
+        sel = selector((0, 3), (1, 1), (3, 0), (1, 1), (2, 2))
+        for s in range(20):
+            assert sel.tuples[sel.choose_removal(np.random.default_rng(s), 0b11011)] == (1, 1)
+        assert calls == []
+        removed = sel.choose_removal(np.random.default_rng(0), 0b00111)
+        assert (sel.tuples[removed], calls) == ((1, 1), [[(0, 3), (1, 1), (3, 0)]])
 
     def test_stochastic_can_spare_the_worst(self):
         # the strictly dominated member survives whenever unsampled
