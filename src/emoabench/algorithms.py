@@ -3,9 +3,10 @@
 Both run functions execute until the population's objective values cover the
 entire Pareto front or the iteration cap is reached; a capped run is marked
 censored rather than raising.  One tracker per run owns every per-vector
-fact: a counter per attained front value gives coverage, its losses and the
-hitting time, and on mojzj a histogram of inner levels gives the best inner
-level, so the per-iteration bookkeeping is O(1) on top of selection.
+fact, read from the objective vector alone: a counter per attained front
+value gives coverage, its losses and the hitting time, and on mojzj a
+histogram of inner levels gives the best inner level, so the per-iteration
+bookkeeping is O(1) on top of selection.  GSEMO's archive is one dict.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .benchmarks import ProblemInstance, inner_level
+from .benchmarks import ProblemInstance
 from .core import dominates, weakly_dominates
 from .selection import SteadyStateSelector, default_reference_point
 from .variation import MutationOperator
@@ -85,18 +86,15 @@ def auto_mu(inst: ProblemInstance, update: str = "standard") -> int:
     return base if update == "standard" else 2 * base + 1
 
 
-def default_max_iterations(inst: ProblemInstance, cfg: AlgorithmConfig, mu: int) -> int:
-    """100x the applicable closed-form bound for the configured run."""
-    if inst.kind in ("mojzj", "momm"):
-        ref = inst if inst.kind == "mojzj" else ProblemInstance.mojzj(inst.n, inst.m, 1)
-        if cfg.algo == "gsemo":
-            theorem = "gsemo"
-        else:
-            theorem = "spu" if cfg.update == "stochastic" else "sms"
-        value = bounds.bound_value(theorem, ref, mu)
+def default_max_iterations(inst: ProblemInstance, theorem: str, mu: int) -> int:
+    """100x the closed-form bound of ``theorem`` ("sms", "spu" or "gsemo")
+    at population size mu.  omm and lotz use their own bound whatever the
+    theorem, and momm uses that of its gap-1 relative mojzj(n, m, 1)."""
+    if inst.kind in ("omm", "lotz"):
+        value = bounds.bound_value(inst.kind, inst, mu)
     else:
-        # for gsemo the per-iteration structure matches the mu = n+1 case
-        value = bounds.bound_value(inst.kind, inst, mu if cfg.algo == "sms_emoa" else inst.n + 1)
+        ref = inst if inst.kind == "mojzj" else ProblemInstance.mojzj(inst.n, inst.m, 1)
+        value = bounds.bound_value(theorem, ref, mu)
     return max(1, int(100 * value))
 
 
@@ -120,9 +118,10 @@ class _CoverageTracker:
     iteration of full coverage (``hit``) and, on mojzj, the best inner level.
 
     ``facts`` maps each vector seen to (front number or None, inner level).
-    A block's objective pair fixes its ones-count, so the vector fixes both
-    and ``add`` reads the mask only on first sight; other kinds than mojzj
-    put every vector at level 0 and keep no inner trajectory.
+    A mojzj block is at an inner ones-count c in [k..n'-k] exactly when both
+    values of its pair (k+c, k+n'-c) are >= 2k: an all-zero or all-one block
+    has a value of k, a block in the gap one below k.  Other kinds put every
+    vector at level 0 and keep no inner trajectory.
     """
 
     __slots__ = (
@@ -142,10 +141,11 @@ class _CoverageTracker:
         self.inner_trajectory: list[tuple[int, int]] = []
         self.violations = 0
 
-    def add(self, obj: tuple[int, ...], mask: int) -> None:
+    def add(self, obj: tuple[int, ...]) -> None:
         facts = self.facts.get(obj)
         if facts is None:
-            level = inner_level(mask, self.inst) if self.inst.kind == "mojzj" else 0
+            k = self.inst.k  # None on every kind but mojzj
+            level = sum(min(a, b) >= 2 * k for a, b in zip(obj[::2], obj[1::2])) if k else 0
             facts = self.facts[obj] = (self.front.get(obj), level)
         i, level = facts
         self.levels[level] += 1
@@ -195,38 +195,24 @@ def sms_emoa_run(
             f"{cfg.update} update); covered front values may be lost",
             stacklevel=2,
         )
+    stochastic = cfg.update == "stochastic"
     max_iters = (
         cfg.max_iterations
         if cfg.max_iterations is not None
-        else default_max_iterations(inst, cfg, mu)
+        else default_max_iterations(inst, "spu" if stochastic else "sms", mu)
     )
-    n, m = inst.n, inst.m
-    if cfg.refpoint is not None:
-        if len(cfg.refpoint) != m:
-            raise ValueError(
-                f"reference point has {len(cfg.refpoint)} coordinates, problem has {m}"
-            )
-        # every benchmark objective is >= 0: a coordinate >= 0 leaves some
-        # attainable vector not strictly dominating r, which makes the
-        # contributions meaningless
-        if any(c >= 0 for c in cfg.refpoint):
-            raise ValueError(
-                f"reference point {cfg.refpoint} must be negative in every "
-                "coordinate: objective values start at 0"
-            )
-    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(m)
+    n = inst.n
+    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
 
     genomes = _random_masks(n, mu, rng) + [0]
-    tuples: list[tuple[int, ...]] = [()] * (mu + 1)
+    tuples = [inst.evaluate_mask(g) for g in genomes[:mu]]
     cov = _CoverageTracker(inst)
-    for i in range(mu):
-        t = tuples[i] = inst.evaluate_mask(genomes[i])
-        cov.add(t, genomes[i])
-    tuples[mu] = tuples[0]
+    for t in tuples:
+        cov.add(t)
     cov.record(0)
+    tuples.append(tuples[0])  # the free slot's placeholder
 
     selector = SteadyStateSelector(tuples, r)
-    stochastic = cfg.update == "stochastic"
     evaluate = inst.evaluate_mask
     mutate = cfg.mutation.mutate_mask
     integers = rng.integers
@@ -244,7 +230,7 @@ def sms_emoa_run(
         cobj = evaluate(child)
         genomes[free] = child
         selector.set_offspring(cobj)
-        cov.add(cobj, child)
+        cov.add(cobj)
 
         if stochastic:
             eligible = 0
@@ -290,15 +276,16 @@ def gsemo_run(
     max_iters = (
         cfg.max_iterations
         if cfg.max_iterations is not None
-        else default_max_iterations(inst, cfg, 1)
+        # for gsemo the per-iteration structure matches the mu = n+1 case
+        else default_max_iterations(inst, "gsemo", inst.n + 1)
     )
     n = inst.n
     cov = _CoverageTracker(inst)
 
+    # the parent draw indexes insertion order: survivors, then the child
     start = _random_masks(n, 1, rng)[0]
-    masks = [start]
-    tuples = [inst.evaluate_mask(start)]
-    cov.add(tuples[0], start)
+    archive = {inst.evaluate_mask(start): start}
+    cov.add(*archive)
     cov.record(0)
     max_pop = 1
     antichain_violations = 0
@@ -308,25 +295,19 @@ def gsemo_run(
         if cov.hit is not None and cfg.stop_at_coverage:
             break
         iterations = t_iter
-        parent = masks[int(rng.integers(len(masks)))]
+        parent = list(archive.values())[int(rng.integers(len(archive)))]
         child = cfg.mutation.mutate_mask(parent, n, rng)
         cobj = inst.evaluate_mask(child)
-        if not any(dominates(p, cobj) for p in tuples):
-            cov.add(cobj, child)
-            keep_masks = []
-            keep_tuples = []
-            for gm, p in zip(masks, tuples):
-                if weakly_dominates(cobj, p):
-                    cov.remove(p)
-                else:
-                    keep_masks.append(gm)
-                    keep_tuples.append(p)
-            keep_masks.append(child)
-            keep_tuples.append(cobj)
-            masks, tuples = keep_masks, keep_tuples
-            max_pop = max(max_pop, len(masks))
+        if not any(dominates(p, cobj) for p in archive):
+            # added before the removals, so a replaced equal vector is no loss
+            cov.add(cobj)
+            for p in [p for p in archive if weakly_dominates(cobj, p)]:
+                del archive[p]
+                cov.remove(p)
+            archive[cobj] = child
+            max_pop = max(max_pop, len(archive))
         if verify_antichain_every and t_iter % verify_antichain_every == 0:
-            antichain_violations += _comparable_pairs(tuples)
+            antichain_violations += _comparable_pairs(list(archive))
         cov.record(t_iter)
 
     return RunRecord(

@@ -22,7 +22,9 @@ from functools import lru_cache
 
 from .core import ObjectiveVector
 
-KINDS = ("mojzj", "momm", "omm", "lotz")
+# each kind's problem-spec parameters, in the order ``str`` writes them
+PARAMS = {"mojzj": ("n", "m", "k"), "momm": ("n", "m"), "omm": ("n",), "lotz": ("n",)}
+KINDS = tuple(PARAMS)
 
 
 def jump_value(ones: int, nprime: int, k: int) -> int:
@@ -167,11 +169,7 @@ class ProblemInstance:
         ))
 
     def __str__(self) -> str:
-        if self.kind == "mojzj":
-            return f"mojzj:n={self.n},m={self.m},k={self.k}"
-        if self.kind == "momm":
-            return f"momm:n={self.n},m={self.m}"
-        return f"{self.kind}:n={self.n}"
+        return f"{self.kind}:" + ",".join(f"{p}={getattr(self, p)}" for p in PARAMS[self.kind])
 
 
 def _require_mojzj(inst: ProblemInstance) -> None:
@@ -228,28 +226,22 @@ def parse_problem(spec: str) -> ProblemInstance:
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    if kind not in KINDS:
+    if kind not in PARAMS:
         raise ValueError(f"unknown problem kind {kind!r} in spec {spec!r}")
+    expected = PARAMS[kind]
     params: dict[str, int] = {}
     if rest:
         for part in rest.split(","):
             key, _, val = part.partition("=")
             key = key.strip()
-            if key in params or key not in ("n", "m", "k"):
+            if key in params or key not in expected:
                 raise ValueError(f"bad parameter {part!r} in spec {spec!r}")
             try:
                 params[key] = int(val)
             except ValueError:
                 raise ValueError(f"bad integer {val!r} in spec {spec!r}") from None
-    expected = {"mojzj": {"n", "m", "k"}, "momm": {"n", "m"}, "omm": {"n"}, "lotz": {"n"}}[kind]
-    if set(params) != expected:
+    if len(params) != len(expected):
         raise ValueError(
-            f"problem {kind!r} needs parameters {sorted(expected)}, got {sorted(params)}"
+            f"problem {kind!r} needs parameters {list(expected)}, got {sorted(params)}"
         )
-    if kind == "mojzj":
-        return ProblemInstance.mojzj(params["n"], params["m"], params["k"])
-    if kind == "momm":
-        return ProblemInstance.momm(params["n"], params["m"])
-    if kind == "omm":
-        return ProblemInstance.oneminmax(params["n"])
-    return ProblemInstance.lotz(params["n"])
+    return ProblemInstance(kind, params["n"], params.get("m", 2), params.get("k"))

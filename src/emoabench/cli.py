@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algo", choices=list(ALGOS), default="sms")
     run_p.add_argument("--mu", default="auto", help="population size or 'auto'")
     run_p.add_argument("--mutation", choices=["standard", "heavy"], default="standard")
-    run_p.add_argument("--beta", type=float, default=1.5, help="power-law exponent (heavy mutation)")
+    run_p.add_argument("--beta", type=float, help="power-law exponent, heavy mutation only (1.5)")
     run_p.add_argument("--update", choices=["standard", "stochastic"], default="standard")
     run_p.add_argument(
         "--refpoint", default=None,
@@ -105,9 +105,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     inst = parse_problem(args.problem)
     if args.mutation == "heavy":
-        mutation = MutationOperator("heavy_tailed", args.beta)
+        mutation = MutationOperator("heavy_tailed", 1.5 if args.beta is None else args.beta)
     else:
-        mutation = MutationOperator("standard")
+        mutation = MutationOperator("standard", args.beta)
     refpoint = (
         tuple(int(v) for v in args.refpoint.split(",")) if args.refpoint is not None else None
     )

@@ -126,6 +126,10 @@ class SteadyStateSelector:
     )
 
     def __init__(self, tuples: list[ObjectiveVector], r: ReferencePoint):
+        # objectives are >= 0, so every member strictly dominates r exactly
+        # when r has one negative coordinate per objective
+        if len(r) != len(tuples[0]) or max(r) >= 0:
+            raise ValueError(f"reference point {r} needs one negative coordinate per objective")
         n = len(tuples)
         self.tuples = tuples
         self.r = r

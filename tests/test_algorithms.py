@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from emoabench import algorithms
 from emoabench.algorithms import (
     AlgorithmConfig,
     _comparable_pairs,
@@ -16,8 +17,10 @@ from emoabench.algorithms import (
     sms_emoa_run,
 )
 from emoabench.benchmarks import ProblemInstance, inner_level
+from emoabench.bounds import bound_value
 from emoabench.core import weakly_dominates
 from emoabench.harness import ExperimentSpec, run_experiment
+from emoabench.oracle import reference_gsemo_run
 from emoabench.variation import MutationOperator
 
 MOJZJ8 = ProblemInstance.mojzj(8, 4, 2)
@@ -52,12 +55,45 @@ class TestConfig:
         assert auto_mu(ProblemInstance.lotz(20), "stochastic") == 43
 
     def test_auto_cap_is_hundredfold_bound(self):
-        c = cfg()
         inst = ProblemInstance.oneminmax(20)
         import math
 
         bound = 2 * math.e * 21 * 20 * (math.log(20) + 1)
-        assert default_max_iterations(inst, c, 21) == int(100 * bound)
+        assert default_max_iterations(inst, "sms", 21) == int(100 * bound)
+
+    def test_auto_cap_of_each_run(self):
+        # momm takes the bound of its gap-1 relative, gsemo on omm the
+        # bound at mu = n + 1, whatever the run's own population
+        class Capped(Exception):
+            pass
+
+        caps = []
+        real = default_max_iterations
+
+        def spy(*args):
+            caps.append(real(*args))
+            raise Capped
+
+        momm, omm = ProblemInstance.momm(8, 4), ProblemInstance.oneminmax(10)
+        runs = (
+            (sms_emoa_run, momm, cfg(mu=7)),
+            (sms_emoa_run, momm, cfg(mu=7, update="stochastic")),
+            (gsemo_run, momm, cfg(algo="gsemo")),
+            (gsemo_run, omm, cfg(algo="gsemo")),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms, "default_max_iterations", spy)
+            for run, inst, c in runs:
+                with pytest.raises(Capped), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    run(inst, c)
+        gap1 = ProblemInstance.mojzj(8, 4, 1)
+        assert caps == [
+            int(100 * bound_value(theorem, ref, mu))
+            for theorem, ref, mu in (
+                ("sms", gap1, 7), ("spu", gap1, 7), ("gsemo", gap1, 9), ("omm", omm, 11),
+            )
+        ]
 
     def test_mismatched_algo_rejected(self):
         with pytest.raises(ValueError):
@@ -156,6 +192,26 @@ class TestGsemoRun:
         rec = gsemo_run(ProblemInstance.oneminmax(10), cfg(algo="gsemo", seed=4))
         assert rec.max_population_size <= 11
 
+    @pytest.mark.parametrize(
+        "inst, capped_only",
+        [
+            (ProblemInstance.mojzj(8, 4, 2), False), (ProblemInstance.mojzj(12, 4, 3), False),
+            (ProblemInstance.oneminmax(10), False), (ProblemInstance.lotz(8), False),
+            (ProblemInstance.momm(8, 4), False),
+            # its start spans two 32-bit chunks
+            (ProblemInstance.mojzj(40, 2, 2), True),
+        ],
+        ids=lambda v: str(v) if isinstance(v, ProblemInstance) else None,
+    )
+    def test_matches_reference_run(self, inst, capped_only):
+        budgets = [dict(max_iterations=2000, stop_at_coverage=False)]
+        if not capped_only:
+            budgets.append({})
+        for kw in budgets:
+            for seed in range(5):
+                c = cfg(algo="gsemo", seed=seed, **kw)
+                assert gsemo_run(inst, c) == reference_gsemo_run(inst, c), (kw, seed)
+
     def test_inner_trajectory_tracked_for_jump_variant(self):
         rec = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=5))
         assert rec.inner_coverage_trajectory[0][0] == 0
@@ -190,6 +246,21 @@ class TestRunPathHelpers:
         for mask in range(1 << inst.n):
             level = inner_level(mask, inst)
             assert level_of.setdefault(inst.evaluate_mask(mask), level) == level
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance.mojzj(16, 8, 1), ProblemInstance.mojzj(12, 4, 3),
+            ProblemInstance.mojzj(8, 4, 2), ProblemInstance.mojzj(12, 2, 3),
+        ],
+        ids=str,
+    )
+    def test_tracker_reads_the_inner_level_from_the_vector(self, inst):
+        cov = _CoverageTracker(inst)
+        for mask in range(1 << inst.n):
+            obj = inst.evaluate_mask(mask)
+            cov.add(obj)
+            assert cov.facts[obj][1] == inner_level(mask, inst)
 
     @pytest.mark.parametrize(
         "archive",
@@ -244,7 +315,7 @@ class TestCoverageTracker:
                         bits = np.flatnonzero(rng.random(inst.n) < density)
                         mask = sum(1 << int(b) for b in bits)
                         pop.append(mask)
-                        cov.add(inst.evaluate_mask(mask), mask)
+                        cov.add(inst.evaluate_mask(mask))
                     now = {inst.evaluate_mask(x) for x in pop} & front
                     violations += len(covered - now)
                     covered = now

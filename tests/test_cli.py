@@ -105,6 +105,23 @@ class TestRun:
             assert "gsemo" in captured.err and captured.out == ""
         assert run_cli(*base, "--mu", "auto", "--update", "standard") == 0
 
+    def test_beta_only_with_heavy_mutation(self, tmp_path, capsys):
+        # standard mutation reads no beta, so giving one is a usage error
+        base = ("run", "--problem", "omm:n=10", "--reps", "2")
+        assert run_cli(*base, "--beta", "0.2") == 1
+        assert "beta is only meaningful" in capsys.readouterr().err
+        conf = tmp_path / "exp.conf"
+        conf.write_text("problem = omm:n=10\nreps = 2\nbeta = 2.5\n")
+        assert run_cli("run", "--config", str(conf)) == 1
+        assert "beta is only meaningful" in capsys.readouterr().err
+        assert run_cli("run", "--config", str(conf), "--mutation", "heavy") == 0
+        # heavy mutation defaults to 1.5 and still rejects beta <= 1
+        out = tmp_path / "rows.csv"
+        assert run_cli(*base, "--mutation", "heavy", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            assert [row[7] for row in csv.reader(fh)] == ["beta", "1.5", "1.5"]
+        assert run_cli(*base, "--mutation", "heavy", "--beta", "0.2") == 1
+
     def test_refpoint_flag(self, capsys):
         code = run_cli("run", "--problem", "omm:n=8", "--reps", "1", "--refpoint=-1,-1")
         assert code == 0
@@ -204,6 +221,18 @@ class TestVerify:
         assert code == 0
         assert "[ok]" in out
         assert "MISMATCH" not in out
+
+    def test_small_max_n_skips_larger_instances(self, capsys):
+        code = run_cli("verify", "--max-n", "8", "--mc-samples", "1000")
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "MISMATCH" not in "".join(lines)
+        assert lines[0] == (
+            "[ok] closed-form front vs brute force (20 instances, 25 of 45 above n=8 skipped)"
+        )
+        assert lines[1] == (
+            "[ok] block membership vs brute-force non-dominance (1 of 2 above n=8 skipped)"
+        )
 
 
 class TestExitCodesEndToEnd:

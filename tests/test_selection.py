@@ -280,6 +280,15 @@ class TestSteadyStateSelector:
                 # multiplicities cover every slot except the freed one
                 assert sel.dup_mask == value_slots(sel.tuples, sel.free)
 
+    def test_reference_point_must_be_strictly_dominated(self):
+        # objectives are >= 0, so every member strictly dominates r exactly
+        # when r has one negative coordinate per objective
+        pts = [(0, 2), (2, 0), (1, 1)]
+        for r in ((-1,), (-1, -1, -1), (0, -1), (-1, 0), (5, 5)):
+            with pytest.raises(ValueError, match="reference point"):
+                SteadyStateSelector(list(pts), r)
+        assert SteadyStateSelector(list(pts), (-3, -1)).r == (-3, -1)
+
     def test_negative_objective_values_rejected(self):
         # the value index is addressed by objective value
         with pytest.raises(ValueError, match=">= 0"):
