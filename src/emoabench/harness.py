@@ -119,10 +119,14 @@ def applicable_theorems(inst: ProblemInstance, cfg: AlgorithmConfig) -> list[str
     return []
 
 
-def _one_rep(args: tuple[ProblemInstance, AlgorithmConfig, int, int]) -> ResultRow:
-    inst, cfg, master_seed, rep = args
-    rng = np.random.default_rng([master_seed, rep])
-    cfg = replace(cfg, seed=master_seed)
+def _one_rep(
+    args: tuple[ProblemInstance, AlgorithmConfig, int]
+) -> tuple[int, int, int, bool, float]:
+    """(rep, iterations, evaluations, censored, seconds) of one repetition;
+    plain values, so a pooled repetition returns no copy of its problem or
+    config."""
+    inst, cfg, rep = args
+    rng = np.random.default_rng([cfg.seed, rep])
     start = time.perf_counter()
     record: RunRecord
     if cfg.algo == "gsemo":
@@ -136,7 +140,7 @@ def _one_rep(args: tuple[ProblemInstance, AlgorithmConfig, int, int]) -> ResultR
         if record.iterations_to_coverage is not None
         else record.evaluations - initial  # iterations actually executed
     )
-    return ResultRow(inst, cfg, rep, iterations, record.evaluations, record.censored, elapsed)
+    return rep, iterations, record.evaluations, record.censored, elapsed
 
 
 def summarize(rows: Sequence[ResultRow]) -> Summary:
@@ -180,10 +184,10 @@ def run_experiment(
         jobs = min(os.cpu_count() or 1, spec.repetitions)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    args = [
-        (spec.problem, spec.config, spec.master_seed, rep)
-        for rep in range(spec.repetitions)
-    ]
+    # every row shares the spec's problem and one config carrying the
+    # master seed, which with the repetition index seeds each stream
+    cfg = replace(spec.config, seed=spec.master_seed)
+    args = [(spec.problem, cfg, rep) for rep in range(spec.repetitions)]
     rows: list[ResultRow] = []
     with ExitStack() as stack:
         fh = writer = None
@@ -196,7 +200,8 @@ def run_experiment(
             results = pool.map(_one_rep, args)
         else:
             results = map(_one_rep, args)
-        for row in results:
+        for result in results:
+            row = ResultRow(spec.problem, cfg, *result)
             rows.append(row)
             if writer is not None:
                 writer.writerow(row.as_csv())

@@ -42,6 +42,11 @@ class OracleBudget:
     def __post_init__(self) -> None:
         if self.max_n_exhaustive > 24:
             raise ValueError("exhaustive enumeration beyond n=24 is not desk-scale")
+        # below n=2 every brute-force check would skip all its instances
+        if self.max_n_exhaustive < 2:
+            raise ValueError(
+                f"exhaustive enumeration cap must be >= 2, got {self.max_n_exhaustive}"
+            )
 
 
 def brute_force_front(inst: ProblemInstance, budget: OracleBudget = OracleBudget()) -> FrontDescriptor:
@@ -251,11 +256,15 @@ def random_antichain(
     return out
 
 
-def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> list[tuple[str, bool, str]]:
+def run_verification(
+    budget: OracleBudget = OracleBudget(), seed: int = 0
+) -> list[tuple[str, bool | None, str]]:
     """Cross-check the closed forms and the hypervolume engine; returns
-    (check name, passed, detail) rows.  Used by the CLI ``verify`` subcommand."""
+    (check name, passed, detail) rows, where passed is None for a check
+    whose instances the budget all skipped.  Used by the CLI ``verify``
+    subcommand."""
     rng = np.random.default_rng(seed)
-    results: list[tuple[str, bool, str]] = []
+    results: list[tuple[str, bool | None, str]] = []
 
     def within_budget(insts: list[ProblemInstance]) -> tuple[list[ProblemInstance], str]:
         """The instances the exhaustive budget allows, and a note on the rest."""
@@ -300,7 +309,9 @@ def run_verification(budget: OracleBudget = OracleBudget(), seed: int = 0) -> li
                 break
         if not ok:
             break
-    results.append(("block membership vs brute-force non-dominance", ok, detail or skipped))
+    results.append(
+        ("block membership vs brute-force non-dominance", ok if cases else None, detail or skipped)
+    )
 
     # hypervolume engine vs inclusion-exclusion
     ok, detail = True, ""

@@ -9,12 +9,13 @@ inside an antichain the contribution is zero exactly for duplicated
 objective vectors, so when duplicates are present no hypervolume needs to
 be evaluated.
 
-The selector answers dominance queries from a per-objective value index, so
-installing an offspring costs time in its change of value, not in the
-population size, and a mask of strictly dominated slots lets the last-front
-peel return at once on an antichain.  The same index tells which slots
-share a vector (those both weakly above and weakly below it), so
-duplicates need no record of their own.
+The selector keys its dominance index by distinct objective vector: a
+population of many slots often holds far fewer vectors, most offspring
+repeat a vector already present, and most removals leave their vector
+present.  Such an offspring or removal only flips one slot bit; a new
+vector costs time in its change of value, not in the population size, and
+a mask of strictly dominated vectors lets the last-front peel return at
+once on an antichain.
 """
 
 from __future__ import annotations
@@ -108,21 +109,30 @@ class SteadyStateSelector:
     reference :func:`emoabench.oracle.select_removal_index` on the same
     multiset and RNG stream.
 
-    All sets are plain-int slot bitmasks.  ``le[c][v]`` (``ge[c][v]``) holds
-    the slots whose coordinate c is <= v (>= v), so the AND of m entries
-    gives the slots weakly above or below a vector; objectives must be
-    non-negative integers to index them; the slots both above and below a
-    vector are those holding it.  ``strict_cols[j]`` holds the slots strictly
-    dominating j, ``dominated`` the slots with any strict dominator and
-    ``dup_mask`` the population slots whose vector some other population
-    slot shares.  Installing an offspring moves its slot's bits only across
-    the values between its old and new coordinates and touches only the
-    strict bits that change.
+    The dominance index is keyed by distinct objective vector.  ``ids`` maps
+    each indexed vector to its id, ``vecs[i]`` is the vector of id ``i``,
+    ``slots[i]`` the bitmask of population slots holding it and ``vid[s]``
+    the id of slot ``s``'s vector; ``live`` is the mask of ids some slot
+    holds.  An id whose slots have all been removed is dead: its vector
+    keeps its place in every table, so an offspring of that vector revives
+    it, and a new vector takes the lowest dead id.
+
+    All other sets are plain-int id bitmasks over live and dead ids alike.
+    ``le[c][v]`` (``ge[c][v]``) holds the ids whose coordinate c is <= v
+    (>= v), so the AND of m entries gives the ids weakly above or below a
+    vector; objectives must be non-negative integers to index them.
+    ``strict[i]`` holds the ids strictly dominating id i and ``dominated``
+    the ids with any strict dominator; the peel masks both with the ids it
+    considers.  ``dup_mask``, a slot mask, holds the population slots whose
+    vector some other population slot shares.  An offspring whose vector
+    is indexed only sets its slot bit; a new vector moves its id's bits
+    only across the values between the id's old and new coordinates and
+    touches only the strict bits that change.
     """
 
     __slots__ = (
-        "tuples", "r", "le", "ge", "strict_cols", "dominated", "dup_mask",
-        "full_mask", "free"
+        "tuples", "r", "ids", "vecs", "slots", "vid", "live", "le", "ge", "strict",
+        "dominated", "dup_mask", "free"
     )
 
     def __init__(self, tuples: list[ObjectiveVector], r: ReferencePoint):
@@ -134,43 +144,37 @@ class SteadyStateSelector:
         self.tuples = tuples
         self.r = r
         self.free = n - 1
-        self.full_mask = (1 << n) - 1
-        # equal vectors share every table entry, cone and strict mask, so
-        # the set-up works per distinct vector
-        groups: dict[ObjectiveVector, int] = {}
-        for i, t in enumerate(tuples):
-            groups[t] = groups.get(t, 0) | (1 << i)
+        self.ids: dict[ObjectiveVector, int] = {}
+        self.vid = [self.ids.setdefault(t, len(self.ids)) for t in tuples]
+        self.vecs = list(self.ids)
+        # the free slot holds no population member, so a vector only it
+        # holds starts dead
+        self.slots = [0] * len(self.vecs)
+        for s, i in enumerate(self.vid[: self.free]):
+            self.slots[i] |= 1 << s
+        self.live = sum(1 << i for i, held in enumerate(self.slots) if held)
+        self.dup_mask = sum(held for held in self.slots if held & (held - 1))
         self.le: list[list[int]] = []
         self.ge: list[list[int]] = []
-        for c, column in enumerate(zip(*groups)):
+        for c, column in enumerate(zip(*self.vecs)):
             if min(column) < 0:
                 raise ValueError(f"objective values must be >= 0, got {min(column)}")
             at = [0] * (max(column) + 1)
-            for t, slots in groups.items():
-                at[t[c]] |= slots
+            for i, v in enumerate(column):
+                at[v] |= 1 << i
             self.le.append(list(accumulate(at, or_)))
             self.ge.append(list(accumulate(reversed(at), or_))[::-1])
-        self.strict_cols = [0] * n
+        self.strict = [0] * len(self.vecs)
         self.dominated = 0
-        # equal vectors always share a front, so the union of the shared
-        # vectors' slots decides the zero-contribution shortcut without a
-        # recount per front; the free slot holds no population member
-        self.dup_mask = 0
-        not_free = ~(1 << self.free)
-        for t, slots in groups.items():
+        for i, t in enumerate(self.vecs):
             above, below = self._cones(t)
-            dominators = above & ~below
-            if dominators:
-                self.dominated |= slots
-                for i in _slots(slots):
-                    self.strict_cols[i] = dominators
-            live = slots & not_free
-            if live & (live - 1):
-                self.dup_mask |= live
+            self.strict[i] = above & ~below
+            if self.strict[i]:
+                self.dominated |= 1 << i
 
     def _cones(self, obj: ObjectiveVector) -> tuple[int, int]:
-        """(slots weakly dominating obj, slots weakly dominated by obj)."""
-        above = below = self.full_mask
+        """(ids weakly dominating obj, ids weakly dominated by obj)."""
+        above = below = (1 << len(self.vecs)) - 1
         for le_c, ge_c, v in zip(self.le, self.ge, obj):
             above &= ge_c[v]
             below &= le_c[v]
@@ -178,17 +182,51 @@ class SteadyStateSelector:
 
     def set_offspring(self, obj: ObjectiveVector) -> None:
         """Install the offspring objective vector in the free slot."""
+        slot = self.free
+        slot_bit = 1 << slot
+        i = self.ids.get(obj)
+        if i is not None:
+            # an indexed vector, live or dead: no table changes
+            held = self.slots[i]
+            if held:
+                self.dup_mask |= held | slot_bit
+            self.slots[i] = held | slot_bit
+            self.live |= 1 << i
+            self.vid[slot] = i
+            self.tuples[slot] = obj
+            return
         if min(obj) < 0:
             raise ValueError(f"objective values must be >= 0, got {obj}")
-        slot = self.free
-        bit = 1 << slot
+        self.tuples[slot] = obj
+        dead = ((1 << len(self.vecs)) - 1) & ~self.live
+        if dead:
+            i = (dead & -dead).bit_length() - 1
+            old = self.vecs[i]
+            del self.ids[old]
+            self.vecs[i] = obj
+        else:
+            # a fresh id enters the tables as the all-zero vector, which
+            # lies in every ``le`` entry and in ``ge`` at 0 only
+            i = len(self.vecs)
+            old = (0,) * len(obj)
+            self.vecs.append(obj)
+            self.slots.append(0)
+            self.strict.append(0)
+            fresh = 1 << i
+            for le_c, ge_c in zip(self.le, self.ge):
+                le_c[:] = [mask | fresh for mask in le_c]
+                ge_c[0] |= fresh
+        self.ids[obj] = i
+        self.slots[i] = slot_bit
+        self.vid[slot] = i
+        bit = 1 << i
         not_bit = ~bit
-        old = self.tuples[slot]
-        # slots the old occupant strictly dominated; each has a strict
-        # dominator, so they all lie in ``dominated`` (none on an antichain)
-        strict = self.strict_cols
+        self.live |= bit
+        # ids the old vector strictly dominated; each has a strict
+        # dominator, so they all lie in ``dominated``
+        strict = self.strict
         lost = 0
-        for j in _slots(self.dominated):
+        for j in _bits(self.dominated):
             if strict[j] & bit:
                 lost |= 1 << j
         for le_c, ge_c, a, b in zip(self.le, self.ge, old, obj):
@@ -198,38 +236,34 @@ class SteadyStateSelector:
                 for v in range(b + 1, a + 1):
                     ge_c[v] &= not_bit
             elif b > a:
-                if b >= len(le_c):  # no slot lies above the table yet
-                    le_c.extend([self.full_mask] * (b + 1 - len(le_c)))
+                if b >= len(le_c):  # no id lies above the table yet
+                    le_c.extend([(1 << len(self.vecs)) - 1] * (b + 1 - len(le_c)))
                     ge_c.extend([0] * (b + 1 - len(ge_c)))
                 for v in range(a, b):
                     le_c[v] &= not_bit
                 for v in range(a + 1, b + 1):
                     ge_c[v] |= bit
-        self.tuples[slot] = obj
         above, below = self._cones(obj)
         gained = below & ~above
-        strict[slot] = above & ~below
+        strict[i] = above & ~below
         dominated = (self.dominated | gained) & not_bit
-        if strict[slot]:
+        if strict[i]:
             dominated |= bit
-        for j in _slots(lost & ~gained):
+        for j in _bits(lost & ~gained):
             strict[j] &= not_bit
             if not strict[j]:
                 dominated &= ~(1 << j)
-        for j in _slots(gained & ~lost):
+        for j in _bits(gained & ~lost):
             strict[j] |= bit
         self.dominated = dominated
-        equal = above & below
-        if equal & (equal - 1):
-            self.dup_mask |= equal
 
     def _last_front(self, alive: int) -> int:
-        # only slots with some strict dominator can fall behind the first
+        # only ids with some strict dominator can fall behind the first
         # front, so an antichain returns without a scan
-        strict = self.strict_cols
+        strict = self.strict
         while True:
             behind = 0
-            for j in _slots(alive & self.dominated):
+            for j in _bits(alive & self.dominated):
                 if strict[j] & alive:
                     behind |= 1 << j
             if not behind:
@@ -237,48 +271,61 @@ class SteadyStateSelector:
             alive = behind
 
     def choose_removal(self, rng: np.random.Generator, eligible: int | None = None) -> int:
-        """Index to remove; ``eligible`` is a bitmask of sampled identities
+        """Index to remove; ``eligible`` is a bitmask of sampled slots
         (None means the full combined population)."""
-        last_mask = self._last_front(self.full_mask if eligible is None else eligible)
-        t = self.tuples
         if eligible is None:
-            d = self.dup_mask & last_mask
-            if d:
+            d = self.dup_mask
+            if d and not self.live & self.dominated:
+                # on an antichain every slot is in the last front, and the
                 # duplicated slots are exactly the zero-contribution members
                 return _nth_set_bit(d, int(rng.integers(d.bit_count())))
-        members = _slots(last_mask)
+            held = self.slots
+            last = self._last_front(self.live)
+        else:
+            # each id's sampled slots; a dead id holds none
+            held = [slots & eligible for slots in self.slots]
+            sampled = 0
+            for i, h in enumerate(held):
+                if h:
+                    sampled |= 1 << i
+            last = self._last_front(sampled)
+        # duplicated members, if any, are exactly the zero-contribution
+        # ones, so a hypervolume is evaluated only on a duplicate-free front
+        dup = single = 0
+        for i in _bits(last):
+            h = held[i]
+            if h & (h - 1):
+                dup |= h
+            else:
+                single |= h
+        if dup:
+            return _nth_set_bit(dup, int(rng.integers(dup.bit_count())))
+        members = _bits(single)
         if len(members) == 1:
             return members[0]
-        pts = [t[i] for i in members]
-        seen: dict[ObjectiveVector, int] = {}
-        for p in pts:
-            seen[p] = seen.get(p, 0) + 1
-        # duplicated members, if any, are exactly the zero-contribution ones,
-        # so a hypervolume is evaluated only on a duplicate-free front
-        pick = [i for i, p in enumerate(pts) if seen[p] > 1]
-        if not pick:
-            pick = min_contribution_indices(pts, self.r)
+        pick = min_contribution_indices([self.tuples[s] for s in members], self.r)
         return members[pick[int(rng.integers(len(pick)))]]
 
     def commit_removal(self, removed: int) -> None:
         """Drop ``removed``; its slot becomes the next offspring slot.
 
-        The removed vector stays in the index but is never read as a
-        population member: the next :meth:`set_offspring` replaces exactly
-        that slot.
+        The removed vector keeps its id, dead once no slot holds it: the
+        next :meth:`set_offspring` replaces exactly that slot.
         """
         bit = 1 << removed
-        if self.dup_mask & bit:
-            self.dup_mask &= ~bit
-            above, below = self._cones(self.tuples[removed])
-            rest = above & below & ~bit
-            if not (rest & (rest - 1)):
-                # a single holder is left: the vector is no longer shared
-                self.dup_mask &= ~rest
+        i = self.vid[removed]
+        rest = self.slots[i] & ~bit
+        self.slots[i] = rest
+        self.dup_mask &= ~bit
+        if not rest & (rest - 1):
+            # at most one holder is left: the vector is no longer shared
+            self.dup_mask &= ~rest
+            if not rest:
+                self.live &= ~(1 << i)
         self.free = removed
 
 
-def _slots(mask: int) -> list[int]:
+def _bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
     out = []
     while mask:

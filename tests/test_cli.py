@@ -235,6 +235,24 @@ class TestVerify:
         )
 
 
+    def test_fully_skipped_check_reads_skipped(self, capsys):
+        code = run_cli("verify", "--max-n", "7", "--mc-samples", "1000")
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[1] == (
+            "[skipped] block membership vs brute-force non-dominance (2 of 2 above n=7 skipped)"
+        )
+        assert all(line.startswith("[ok] ") for line in lines[:1] + lines[2:])
+
+    @pytest.mark.parametrize("max_n", ["1", "-3"])
+    def test_max_n_below_two_is_usage_error(self, capsys, max_n):
+        code = run_cli("verify", "--max-n", max_n, "--mc-samples", "1000")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"exhaustive enumeration cap must be >= 2, got {max_n}" in captured.err
+
+
 class TestExitCodesEndToEnd:
     def test_usage_error_via_subprocess(self):
         proc = run_module("run", "--problem", "bad")

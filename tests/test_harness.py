@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -128,6 +129,22 @@ class TestRunExperiment:
         serial, _ = run_experiment(spec, jobs=1)
         parallel, _ = run_experiment(spec, jobs=2)
         assert [r.iterations for r in serial] == [r.iterations for r in parallel]
+
+    def test_rows_share_problem_and_config_across_jobs(self, tmp_path):
+        def strip_seconds(path):
+            return [row[:-1] for row in read_csv(path)]
+
+        base = cfg(max_iterations=3000)
+        for jobs in (1, 2):
+            spec = ExperimentSpec(OMM20, base, 4, 11, tmp_path / f"jobs{jobs}.csv")
+            rows, _ = run_experiment(spec, jobs=jobs)
+            # one problem object and one seeded config for all rows, not a
+            # copy per pooled repetition
+            assert all(row.problem is spec.problem for row in rows)
+            assert all(row.config is rows[0].config for row in rows)
+            assert rows[0].config == replace(base, seed=11)
+            assert [row.rep for row in rows] == [0, 1, 2, 3]
+        assert strip_seconds(tmp_path / "jobs1.csv") == strip_seconds(tmp_path / "jobs2.csv")
 
     def test_bound_report(self):
         spec = ExperimentSpec(OMM20, cfg(), repetitions=10, master_seed=1, bound_report=True)

@@ -27,6 +27,13 @@ class TestBudget:
         with pytest.raises(ValueError):
             OracleBudget(max_n_exhaustive=25)
 
+    def test_floor(self):
+        # below n=2 the brute-force checks would enumerate no instance
+        for max_n in (1, 0, -3):
+            with pytest.raises(ValueError, match=">= 2"):
+                OracleBudget(max_n_exhaustive=max_n)
+        assert OracleBudget(max_n_exhaustive=2).max_n_exhaustive == 2
+
 
 class TestBruteForceFront:
     def test_matches_closed_form(self):

@@ -1,5 +1,6 @@
 """Exact hypervolume, the incremental selector, and its oracle reference."""
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -32,11 +33,55 @@ def half_sample(rng, size):
     return mask
 
 
-def value_slots(tuples, free=None):
-    """Union of the slots, every slot but ``free``, whose vector another of
-    those slots shares."""
-    live = [t for i, t in enumerate(tuples) if i != free]
-    return sum(1 << i for i, t in enumerate(tuples) if i != free and live.count(t) > 1)
+def shared_slots(tuples, members):
+    """Union of the ``members`` slots whose vector another member slot
+    shares."""
+    held = [t for i, t in enumerate(tuples) if members >> i & 1]
+    return sum(1 << i for i, t in enumerate(tuples) if members >> i & 1 and held.count(t) > 1)
+
+
+def assert_index_definitions(sel, members):
+    """Every field of the value index against its definition, over live and
+    dead ids alike; ``members`` is the mask of population slots."""
+    vecs = sel.vecs
+    ids = range(len(vecs))
+    # one id per distinct vector
+    assert sel.ids == {v: i for i, v in enumerate(vecs)} and len(sel.ids) == len(vecs)
+    held = [0] * len(vecs)
+    for s in range(len(sel.tuples)):
+        if members >> s & 1:
+            assert vecs[sel.vid[s]] == sel.tuples[s]
+            held[sel.vid[s]] |= 1 << s
+    assert sel.slots == held
+    assert sel.live == sum(1 << i for i in ids if held[i])
+    for c in range(len(sel.r)):
+        width = len(sel.le[c])
+        assert len(sel.ge[c]) == width > max(v[c] for v in vecs)
+        assert sel.le[c] == [sum(1 << i for i in ids if vecs[i][c] <= v) for v in range(width)]
+        assert sel.ge[c] == [sum(1 << i for i in ids if vecs[i][c] >= v) for v in range(width)]
+    strict = [sum(1 << i for i, u in enumerate(vecs) if dominates(u, t)) for t in vecs]
+    assert sel.strict == strict
+    assert sel.dominated == sum(1 << i for i, col in enumerate(strict) if col)
+    assert sel.dup_mask == shared_slots(sel.tuples, members)
+
+
+def live_index(sel, width):
+    """The live part of the index keyed by vector rather than by id, with
+    the value tables cut to ``width`` entries, so that two selectors that
+    numbered their ids differently compare equal."""
+    vecs = sel.vecs
+    live = [i for i in range(len(vecs)) if sel.live >> i & 1]
+
+    def named(mask):
+        return {vecs[i] for i in live if mask >> i & 1}
+
+    return (
+        {vecs[i]: sel.slots[i] for i in live},
+        {vecs[i]: named(sel.strict[i]) for i in live},
+        named(sel.dominated),
+        [[named(mask) for mask in table[:w]] for table, w in zip(sel.le + sel.ge, width * 2)],
+        sel.dup_mask,
+    )
 
 
 def selector(*objectives):
@@ -223,7 +268,7 @@ class TestSteadyStateSelector:
 
     def test_setup_matches_definitions(self):
         rng = np.random.default_rng(5)
-        seen_dup = seen_dominated = 0
+        seen_dup = seen_dominated = seen_dead = 0
         for m in range(2, 9):
             for _ in range(12):
                 size = int(rng.integers(2, 14))
@@ -232,22 +277,14 @@ class TestSteadyStateSelector:
                 pool = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size // 2 + 1)]
                 pts = [pool[int(rng.integers(len(pool)))] for _ in range(size)]
                 sel = SteadyStateSelector(list(pts), default_reference_point(m))
-                for c in range(m):
-                    values = range(max(t[c] for t in pts) + 1)
-                    assert sel.le[c] == [
-                        sum(1 << i for i, t in enumerate(pts) if t[c] <= v) for v in values
-                    ]
-                    assert sel.ge[c] == [
-                        sum(1 << i for i, t in enumerate(pts) if t[c] >= v) for v in values
-                    ]
-                strict = [sum(1 << i for i, u in enumerate(pts) if dominates(u, t)) for t in pts]
-                assert sel.strict_cols == strict
-                assert sel.dominated == sum(1 << j for j, col in enumerate(strict) if col)
-                # the last slot starts free and holds no population member
-                assert sel.dup_mask == value_slots(pts, size - 1)
+                # the last slot starts free and holds no population member:
+                # its vector is indexed, and dead unless another slot holds it
+                assert set(sel.vecs) == set(pts)
+                assert_index_definitions(sel, (1 << (size - 1)) - 1)
                 seen_dup += sel.dup_mask != 0
                 seen_dominated += sel.dominated != 0
-        assert seen_dup > 20 and seen_dominated > 20
+                seen_dead += pts[-1] not in pts[:-1]
+        assert seen_dup > 20 and seen_dominated > 20 and seen_dead > 20
 
     def test_incremental_state_matches_rebuild(self):
         rng = np.random.default_rng(3)
@@ -256,29 +293,63 @@ class TestSteadyStateSelector:
             size = int(rng.integers(3, 9))
             pts = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size)]
             sel = SteadyStateSelector(list(pts), default_reference_point(m))
+            everyone = (1 << size) - 1
             for _ in range(20):
                 # offspring values above the initial maximum grow the tables
                 sel.set_offspring(tuple(map(int, rng.integers(0, 7, size=m))))
-                # with the offspring installed, every slot is live and the
-                # incremental state must equal a from-scratch rebuild
-                fresh = SteadyStateSelector(list(sel.tuples), sel.r)
-                assert sel.strict_cols == fresh.strict_cols
-                assert sel.dominated == fresh.dominated
-                for c in range(m):
-                    # a table may keep entries past the current maximum,
-                    # where no slot lies above the value
-                    width = len(fresh.le[c])
-                    assert len(sel.le[c]) == len(sel.ge[c]) >= width
-                    assert sel.le[c][:width] == fresh.le[c]
-                    assert sel.ge[c][:width] == fresh.ge[c]
-                    assert set(sel.le[c][width:]) <= {sel.full_mask}
-                    assert set(sel.ge[c][width:]) <= {0}
-                # the fresh build leaves its own last slot free, so the
-                # duplicate state is checked against a direct count
-                assert sel.dup_mask == value_slots(sel.tuples)
+                # with the offspring installed, every slot is a member
+                assert_index_definitions(sel, everyone)
+                # a fresh build with one more, free, slot indexes the same
+                # members; ids may be numbered differently, and a grown
+                # table may keep entries past the current maximum
+                fresh = SteadyStateSelector(list(sel.tuples) + [sel.tuples[0]], sel.r)
+                width = [len(col) for col in fresh.le]
+                assert live_index(sel, width) == live_index(fresh, width)
                 sel.commit_removal(sel.choose_removal(rng))
-                # multiplicities cover every slot except the freed one
-                assert sel.dup_mask == value_slots(sel.tuples, sel.free)
+                # the freed slot holds no member any more
+                assert_index_definitions(sel, everyone & ~(1 << sel.free))
+
+    def test_dead_ids_are_revived_and_reused(self):
+        r = (-1, -1)
+        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2), (2, 0)], r)
+        # only the free slot holds (2, 0), so its id starts dead
+        assert sel.ids == {(1, 1): 0, (0, 2): 1, (2, 0): 2}
+        assert (sel.live, sel.dup_mask) == (0b011, 0b110)
+
+        def tables():
+            return [list(col) for col in sel.le + sel.ge], list(sel.strict), sel.dominated
+
+        before = tables()
+        sel.set_offspring((0, 2))  # a live vector gains a slot
+        assert (sel.vid[3], sel.slots[1], sel.dup_mask, tables()) == (1, 0b1110, 0b1110, before)
+        sel.commit_removal(0)  # (1, 1) has no other holder: id 0 dies
+        assert (sel.live, sel.slots[0], sel.free) == (0b010, 0, 0)
+
+        sel.set_offspring((3, 0))  # a new vector takes the lowest of the dead ids 0 and 2
+        assert sel.vecs == [(3, 0), (0, 2), (2, 0)] and (1, 1) not in sel.ids
+        assert len(sel.le[0]) == len(sel.ge[0]) == 4  # coordinate 3 grows the tables
+        assert sel.dominated == 0b100  # the dead (2, 0) keeps its strict dominator
+        assert_index_definitions(sel, 0b1111)
+
+        sel.commit_removal(3)  # (0, 2) keeps two slots
+        assert (sel.live, sel.dup_mask) == (0b011, 0b0110)
+        before = tables()
+        sel.set_offspring((2, 0))  # revives id 2 in place
+        assert (sel.vid[3], sel.live, tables()) == (2, 0b111, before)
+        assert_index_definitions(sel, 0b1111)
+
+        sel.commit_removal(1)  # (0, 2) keeps slot 2: every id stays live
+        assert (sel.live, sel.dup_mask) == (0b111, 0)
+        sel.set_offspring((1, 3))  # so the new vector takes a fresh id
+        assert sel.vecs == [(3, 0), (0, 2), (2, 0), (1, 3)] and sel.vid[1] == 3
+        assert sel.dominated == 0b110
+        assert_index_definitions(sel, 0b1111)
+        arr = np.array(sel.tuples, dtype=np.int64)
+        for s in range(20):
+            # the last front {(0, 2), (2, 0)} is decided by hypervolume
+            assert sel.choose_removal(np.random.default_rng(s)) == select_removal_index(
+                arr, r, np.random.default_rng(s)
+            )
 
     def test_reference_point_must_be_strictly_dominated(self):
         # objectives are >= 0, so every member strictly dominates r exactly
@@ -294,10 +365,16 @@ class TestSteadyStateSelector:
         with pytest.raises(ValueError, match=">= 0"):
             SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2))
         sel = selector((0, 2), (2, 0), (1, 1))
-        state = (list(sel.tuples), [list(c) for c in sel.le], [list(c) for c in sel.ge])
+        sel.commit_removal(1)
+
+        def state():
+            fields = (getattr(sel, name) for name in SteadyStateSelector.__slots__)
+            return [copy.deepcopy(value) for value in fields]
+
+        before = state()
         with pytest.raises(ValueError, match=">= 0"):
             sel.set_offspring((3, -1))
-        assert (sel.tuples, sel.le, sel.ge) == state
+        assert state() == before
 
     @settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
