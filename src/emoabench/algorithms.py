@@ -20,7 +20,7 @@ from . import bounds
 from .benchmarks import ProblemInstance
 from .core import dominates, weakly_dominates
 from .selection import SteadyStateSelector, default_reference_point
-from .variation import MutationOperator
+from .variation import MutationOperator, uniform_below
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,10 +107,11 @@ def _random_masks(n: int, count: int, rng: np.random.Generator) -> list[int]:
     highs = [1 << min(32, n - shift) for shift in shifts]
     draws = rng.integers(np.array(highs * count, dtype=np.int64)).tolist()
     chunks = len(highs)
-    return [
-        sum(d << s for d, s in zip(draws[i : i + chunks], shifts))
-        for i in range(0, len(draws), chunks)
-    ]
+    # column j of the draws holds every mask's chunk j
+    masks = draws[::chunks]
+    for j in range(1, chunks):
+        masks = [mask | d << 32 * j for mask, d in zip(masks, draws[j::chunks])]
+    return masks
 
 
 class _CoverageTracker:
@@ -215,7 +216,6 @@ def sms_emoa_run(
     selector = SteadyStateSelector(tuples, r)
     evaluate = inst.evaluate_mask
     mutate = cfg.mutation.mutate_mask
-    integers = rng.integers
     iterations = 0
     for t_iter in range(1, max_iters + 1):
         if cov.hit is not None and cfg.stop_at_coverage:
@@ -223,7 +223,7 @@ def sms_emoa_run(
         iterations = t_iter
         free = selector.free
         # survivors occupy every slot except the free one
-        parent = int(integers(mu))
+        parent = uniform_below(rng, mu)
         if parent >= free:
             parent += 1
         child = mutate(genomes[parent], n, rng)
@@ -234,7 +234,7 @@ def sms_emoa_run(
 
         if stochastic:
             eligible = 0
-            for d in integers(mu + 1, size=(mu + 1) // 2).tolist():
+            for d in rng.integers(mu + 1, size=(mu + 1) // 2).tolist():
                 eligible |= 1 << d
             removed = selector.choose_removal(rng, eligible)
         else:
@@ -295,7 +295,7 @@ def gsemo_run(
         if cov.hit is not None and cfg.stop_at_coverage:
             break
         iterations = t_iter
-        parent = list(archive.values())[int(rng.integers(len(archive)))]
+        parent = list(archive.values())[uniform_below(rng, len(archive))]
         child = cfg.mutation.mutate_mask(parent, n, rng)
         cobj = inst.evaluate_mask(child)
         if not any(dominates(p, cobj) for p in archive):

@@ -47,6 +47,10 @@ class OracleBudget:
             raise ValueError(
                 f"exhaustive enumeration cap must be >= 2, got {self.max_n_exhaustive}"
             )
+        # checked here as well as in hv_monte_carlo, so a bad sample count
+        # fails before any exhaustive check runs
+        if self.mc_samples < 10**3:
+            raise ValueError(f"at least 1000 samples required, got {self.mc_samples}")
 
 
 def brute_force_front(inst: ProblemInstance, budget: OracleBudget = OracleBudget()) -> FrontDescriptor:

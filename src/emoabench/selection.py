@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ObjectiveVector
+from .variation import uniform_below
 
 ReferencePoint = tuple[int, ...]
 
@@ -195,6 +196,8 @@ class SteadyStateSelector:
             self.vid[slot] = i
             self.tuples[slot] = obj
             return
+        if len(obj) != len(self.le):
+            raise ValueError(f"offspring {obj} does not have {len(self.le)} objectives")
         if min(obj) < 0:
             raise ValueError(f"objective values must be >= 0, got {obj}")
         self.tuples[slot] = obj
@@ -278,7 +281,7 @@ class SteadyStateSelector:
             if d and not self.live & self.dominated:
                 # on an antichain every slot is in the last front, and the
                 # duplicated slots are exactly the zero-contribution members
-                return _nth_set_bit(d, int(rng.integers(d.bit_count())))
+                return _nth_set_bit(d, uniform_below(rng, d.bit_count()))
             held = self.slots
             last = self._last_front(self.live)
         else:
@@ -299,12 +302,12 @@ class SteadyStateSelector:
             else:
                 single |= h
         if dup:
-            return _nth_set_bit(dup, int(rng.integers(dup.bit_count())))
+            return _nth_set_bit(dup, uniform_below(rng, dup.bit_count()))
         members = _bits(single)
         if len(members) == 1:
             return members[0]
         pick = min_contribution_indices([self.tuples[s] for s in members], self.r)
-        return members[pick[int(rng.integers(len(pick)))]]
+        return members[pick[uniform_below(rng, len(pick))]]
 
     def commit_removal(self, removed: int) -> None:
         """Drop ``removed``; its slot becomes the next offspring slot.

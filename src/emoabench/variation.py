@@ -8,11 +8,17 @@ exponentially unlikely.
 
 Exact flip-set probabilities for both operators are provided as analytic
 oracles for the statistical tests.
+
+The run path's scalar draws skip numpy's per-call overhead: they call the
+bit generator through its ctypes interface and apply numpy's own algorithm,
+so they return the same numbers from the same words as ``Generator.integers``
+and ``Generator.random``, and leave the stream in the same state.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,7 +39,7 @@ class PowerLawDistribution:
         raw = [i ** (-beta) for i in range(1, self.support_max + 1)]
         self.normalizer = math.fsum(raw)
         self._pmf = np.array(raw) / self.normalizer
-        self._cdf = np.cumsum(self._pmf)
+        self._cdf = np.cumsum(self._pmf).tolist()
 
     def pmf(self, i: int) -> float:
         if not 1 <= i <= self.support_max:
@@ -44,7 +50,9 @@ class PowerLawDistribution:
         return self._pmf.copy()
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cdf, rng.random(), side="right")) + 1
+        """One alpha from one ``rng.random()`` draw."""
+        ct = rng.bit_generator.ctypes
+        return bisect_right(self._cdf, ct.next_double(ct.state)) + 1
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.searchsorted(self._cdf, rng.random(size), side="right") + 1
@@ -54,6 +62,28 @@ class PowerLawDistribution:
 def power_law(n: int, beta: float) -> PowerLawDistribution:
     """Cached distribution; the normalizer is computed once per (n, beta)."""
     return PowerLawDistribution(n, beta)
+
+
+def uniform_below(rng: np.random.Generator, high: int) -> int:
+    """``int(rng.integers(high))`` for 1 <= high <= 2**32: the same number,
+    drawn from the same 32-bit words.
+
+    numpy draws such a range by Lemire's multiply-and-reject on
+    ``next_uint32`` (for high = 2**32 the product's high word is the word
+    itself), and a range of one value draws nothing.
+    """
+    if not 1 <= high <= 1 << 32:
+        raise ValueError(f"high must lie in 1..2**32, got {high}")
+    if high == 1:
+        return 0
+    ct = rng.bit_generator.ctypes
+    next_uint32, state = ct.next_uint32, ct.state
+    m = next_uint32(state) * high
+    if m & 0xFFFFFFFF < high:
+        threshold = ((1 << 32) - high) % high
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32(state) * high
+    return m >> 32
 
 
 def _flip_mask(n: int, rate: float, rng: np.random.Generator) -> int:
@@ -66,11 +96,11 @@ def _flip_mask(n: int, rate: float, rng: np.random.Generator) -> int:
     if count == 0:
         return 0
     if count == 1:
-        return 1 << int(rng.integers(n))
+        return 1 << uniform_below(rng, n)
     mask = 0
     remaining = count
     while remaining:  # rejection sampling; cheap for the small counts seen here
-        bit = 1 << int(rng.integers(n))
+        bit = 1 << uniform_below(rng, n)
         if not mask & bit:
             mask |= bit
             remaining -= 1

@@ -392,6 +392,16 @@ GOLDEN_JUMP12_K3_MU5 = (None, 4005, [
     (0, 0), (4, 1), (6, 2), (506, 3), (2059, 4), (2992, 5),
 ], [(0, 1), (4, 2), (3689, 1)], 3)
 
+# heavy-tailed mutation (beta = 1.5) draws a power-law strength before each
+# flip count: three runs to coverage on mojzj(8, 2, 3) and one stochastic
+# run on mojzj(12, 4, 3) capped at 3000 iterations
+GOLDEN_HEAVY_JUMP2_K3 = {
+    0: (696, 705, [(0, 3), (99, 4), (696, 5)], [(0, 1)]),
+    1: (1887, 1896, [(0, 3), (17, 4), (1887, 5)], [(0, 1)]),
+    2: (588, 597, [(0, 3), (180, 4), (588, 5)], [(0, 1)]),
+}
+GOLDEN_HEAVY_JUMP4_K3_SPU = (None, 3099, [(0, 4), (345, 5), (1297, 6)], [(0, 2)])
+
 
 def golden(rec):
     return (
@@ -418,3 +428,17 @@ class TestGoldenRuns:
         with pytest.warns(UserWarning, match="survival-guarantee"):
             rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 3), c)
         assert (*golden(rec), rec.coverage_violations) == GOLDEN_JUMP12_K3_MU5
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_HEAVY_JUMP2_K3))
+    def test_heavy_tailed_mutation(self, seed):
+        c = cfg(mutation=MutationOperator("heavy_tailed", 1.5), seed=seed)
+        rec = sms_emoa_run(ProblemInstance.mojzj(8, 2, 3), c)
+        assert golden(rec) == GOLDEN_HEAVY_JUMP2_K3[seed]
+
+    def test_heavy_tailed_stochastic_update(self):
+        c = cfg(
+            mutation=MutationOperator("heavy_tailed", 1.5), update="stochastic",
+            max_iterations=3000, stop_at_coverage=False, seed=0,
+        )
+        rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 3), c)
+        assert golden(rec) == GOLDEN_HEAVY_JUMP4_K3_SPU

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import emoabench
+from emoabench import cli
 from emoabench.cli import main
 
 
@@ -251,6 +252,20 @@ class TestVerify:
         assert code == 1
         assert captured.out == ""
         assert f"exhaustive enumeration cap must be >= 2, got {max_n}" in captured.err
+
+    @pytest.mark.parametrize("samples", ["0", "999"])
+    def test_too_few_mc_samples_is_usage_error_before_any_check(
+        self, capsys, monkeypatch, samples
+    ):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("the checks started")
+
+        monkeypatch.setattr(cli, "run_verification", no_checks)
+        code = run_cli("verify", "--mc-samples", samples)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"at least 1000 samples required, got {samples}" in captured.err
 
 
 class TestExitCodesEndToEnd:

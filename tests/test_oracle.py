@@ -34,6 +34,13 @@ class TestBudget:
                 OracleBudget(max_n_exhaustive=max_n)
         assert OracleBudget(max_n_exhaustive=2).max_n_exhaustive == 2
 
+    def test_sample_floor(self):
+        # hv_monte_carlo needs 1000 samples; the budget refuses fewer up front
+        for samples in (999, 0, -1):
+            with pytest.raises(ValueError, match="at least 1000 samples"):
+                OracleBudget(mc_samples=samples)
+        assert OracleBudget(mc_samples=1000).mc_samples == 1000
+
 
 class TestBruteForceFront:
     def test_matches_closed_form(self):

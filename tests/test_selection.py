@@ -84,6 +84,11 @@ def live_index(sel, width):
     )
 
 
+def fields(sel):
+    """Deep copy of every selector field, to check that a call changed none."""
+    return [copy.deepcopy(getattr(sel, name)) for name in SteadyStateSelector.__slots__]
+
+
 def selector(*objectives):
     """Selector over the combined population, last vector as offspring."""
     sel = SteadyStateSelector(list(objectives), (-1, -1))
@@ -367,14 +372,24 @@ class TestSteadyStateSelector:
         sel = selector((0, 2), (2, 0), (1, 1))
         sel.commit_removal(1)
 
-        def state():
-            fields = (getattr(sel, name) for name in SteadyStateSelector.__slots__)
-            return [copy.deepcopy(value) for value in fields]
-
-        before = state()
+        before = fields(sel)
         with pytest.raises(ValueError, match=">= 0"):
             sel.set_offspring((3, -1))
-        assert state() == before
+        assert fields(sel) == before
+
+    def test_wrong_objective_count_rejected(self):
+        # zip would index a short or long vector by its truncated coordinates
+        sel = SteadyStateSelector([(0, 2), (2, 0), (1, 1)], (-1, -1))
+        before = fields(sel)
+        with pytest.raises(ValueError, match="does not have 2 objectives"):
+            sel.set_offspring((1,))
+        assert fields(sel) == before
+        sel.set_offspring((1, 1))
+        sel.commit_removal(1)
+        before = fields(sel)
+        with pytest.raises(ValueError, match="does not have 2 objectives"):
+            sel.set_offspring((3, 3, 3))
+        assert fields(sel) == before
 
     @settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())

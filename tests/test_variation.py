@@ -12,6 +12,7 @@ from emoabench.variation import (
     heavy_tailed_flip_probability,
     power_law,
     standard_flip_probability,
+    uniform_below,
 )
 
 STANDARD = MutationOperator("standard")
@@ -55,6 +56,69 @@ class TestPowerLaw:
         rng = np.random.default_rng(3)
         for _ in range(50):
             assert 1 <= d.sample(rng) <= 4
+
+
+# ranges of one value, small ones, the flip positions and removal counts of
+# the benchmarks, and large ones whose rejection threshold is hit often
+HIGHS = (1, 2, 3, 16, 21, 626, 2**31 + 11, 3 * 2**30, 2**32)
+
+
+def twins(bit_generator, seed):
+    return (np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed)))
+
+
+def state(rng):
+    """The bit generator's state with its arrays as lists, so == compares it."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+class TestDirectDraws:
+    """The run path's direct draws against numpy's own, on twin generators:
+    the same values, and the same state after every step."""
+
+    def test_uniform_below_matches_integers(self, bit_generator):
+        ours, numpys = twins(bit_generator, 11)
+        for step in range(300):
+            for high in HIGHS:
+                assert uniform_below(ours, high) == int(numpys.integers(high))
+                assert state(ours) == state(numpys)
+            # other draws in between: 64-bit words, doubles and array fills
+            if step % 3 == 0:
+                assert ours.binomial(20, 0.3) == numpys.binomial(20, 0.3)
+            elif step % 3 == 1:
+                assert ours.random() == numpys.random()
+            else:
+                assert ours.integers(7, size=5).tolist() == numpys.integers(7, size=5).tolist()
+            assert state(ours) == state(numpys)
+
+    def test_single_value_range_draws_nothing(self, bit_generator):
+        rng = np.random.Generator(bit_generator(3))
+        before = state(rng)
+        assert uniform_below(rng, 1) == 0
+        assert state(rng) == before
+
+    def test_range_outside_32_bits_rejected(self, bit_generator):
+        rng = np.random.Generator(bit_generator(3))
+        for high in (0, -5, 2**32 + 1):
+            with pytest.raises(ValueError, match="high must lie in"):
+                uniform_below(rng, high)
+
+    def test_power_law_sample_matches_searchsorted(self, bit_generator):
+        ours, numpys = twins(bit_generator, 12)
+        for n, beta in ((8, 1.5), (20, 2.5), (101, 1.1)):
+            d = PowerLawDistribution(n, beta)
+            cdf = np.cumsum(d.pmf_array())
+            for _ in range(500):
+                expected = int(np.searchsorted(cdf, numpys.random(), side="right")) + 1
+                assert d.sample(ours) == expected
+                assert state(ours) == state(numpys)
 
 
 class TestMutationOperators:
