@@ -48,6 +48,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.update not in ("standard", "stochastic"):
             raise ValueError(f"unknown update rule {self.update!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mu is not None and self.mu < 1:
             raise ValueError(f"population size must be >= 1, got {self.mu}")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -206,14 +208,13 @@ def sms_emoa_run(
     r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
 
     genomes = _random_masks(n, mu, rng) + [0]
-    tuples = [inst.evaluate_mask(g) for g in genomes[:mu]]
+    members = [inst.evaluate_mask(g) for g in genomes[:mu]]
     cov = _CoverageTracker(inst)
-    for t in tuples:
+    for t in members:
         cov.add(t)
     cov.record(0)
-    tuples.append(tuples[0])  # the free slot's placeholder
 
-    selector = SteadyStateSelector(tuples, r)
+    selector = SteadyStateSelector(members, r)
     evaluate = inst.evaluate_mask
     mutate = cfg.mutation.mutate_mask
     iterations = 0
@@ -232,16 +233,13 @@ def sms_emoa_run(
         selector.set_offspring(cobj)
         cov.add(cobj)
 
+        eligible = None
         if stochastic:
             eligible = 0
             for d in rng.integers(mu + 1, size=(mu + 1) // 2).tolist():
                 eligible |= 1 << d
-            removed = selector.choose_removal(rng, eligible)
-        else:
-            removed = selector.choose_removal(rng)
-
-        cov.remove(tuples[removed])
-        selector.commit_removal(removed)
+        removed = selector.choose_removal(rng, eligible)
+        cov.remove(selector.commit_removal(removed))
         cov.record(t_iter)
 
     return RunRecord(

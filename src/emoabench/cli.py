@@ -144,7 +144,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     failed = False
     if report is not None:
-        for row in report.rows:
+        if not report:
+            setting = f"{inst} with {cfg.algo}/{mutation.kind} mutation"
+            print(f"bound: no closed-form bound for {setting}")
+        for row in report:
             status = "pass" if row.passed else "FAIL"
             failed |= not row.passed
             print(

@@ -92,11 +92,6 @@ class BoundRow:
 
 
 @dataclass(frozen=True, slots=True)
-class BoundReport:
-    rows: tuple[BoundRow, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class Summary:
     repetitions: int
     censored: int
@@ -159,7 +154,7 @@ def summarize(rows: Sequence[ResultRow]) -> Summary:
 
 def build_bound_report(
     spec: ExperimentSpec, rows: Sequence[ResultRow]
-) -> BoundReport:
+) -> tuple[BoundRow, ...]:
     summary = summarize(rows)
     inst, cfg = spec.problem, spec.config
     mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
@@ -171,12 +166,12 @@ def build_bound_report(
         # False, so a row without an interval fails
         passed = summary.censored == 0 and summary.mean_iterations + ci <= b
         out.append(BoundRow(theorem, b, summary.mean_iterations, ci, passed))
-    return BoundReport(tuple(out))
+    return tuple(out)
 
 
 def run_experiment(
     spec: ExperimentSpec, jobs: int | None = None
-) -> tuple[list[ResultRow], BoundReport | None]:
+) -> tuple[list[ResultRow], tuple[BoundRow, ...] | None]:
     """Execute all repetitions (in parallel), optionally writing CSV rows
     incrementally, and build the bound report if requested.  One job runs
     the repetitions in this process."""
@@ -185,7 +180,8 @@ def run_experiment(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # every row shares the spec's problem and one config carrying the
-    # master seed, which with the repetition index seeds each stream
+    # master seed, which with the repetition index seeds each stream; the
+    # config checks the seed before any CSV is opened
     cfg = replace(spec.config, seed=spec.master_seed)
     args = [(spec.problem, cfg, rep) for rep in range(spec.repetitions)]
     rows: list[ResultRow] = []

@@ -4,10 +4,10 @@ Everything here deliberately avoids the main code paths it checks: the
 front comes from exhaustive enumeration instead of the closed form, the
 hypervolume from inclusion-exclusion or Monte-Carlo sampling instead of the
 dimension sweep, the survivor choice from array-based front peeling and
-leave-one-out hypervolume instead of the incremental selector, and a whole
-GSEMO run from a plain archive list and per-iteration recounts instead of
-the run's incremental bookkeeping.  The oracles ship in the library (not
-only in the tests) so the CLI ``verify`` subcommand can run
+leave-one-out hypervolume instead of the incremental selector, and whole
+SMS-EMOA and GSEMO runs from plain population lists and per-iteration
+recounts instead of the runs' incremental bookkeeping.  The oracles ship in
+the library (not only in the tests) so the CLI ``verify`` subcommand can run
 self-verification on demand.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig, RunRecord, default_max_iterations
+from .algorithms import AlgorithmConfig, RunRecord, auto_mu, default_max_iterations
 from .benchmarks import (
     FrontDescriptor,
     ProblemInstance,
@@ -171,6 +171,88 @@ def select_removal_index(
     return candidates[int(rng.integers(len(candidates)))]
 
 
+def _random_genome(n: int, rng: np.random.Generator) -> int:
+    """A uniform n-bit genome, one scalar draw per 32-bit chunk, low chunk
+    first."""
+    genome = 0
+    for shift in range(0, n, 32):
+        genome |= int(rng.integers(1 << min(32, n - shift))) << shift
+    return genome
+
+
+def reference_sms_emoa_run(
+    inst: ProblemInstance,
+    cfg: AlgorithmConfig,
+    rng: np.random.Generator | None = None,
+) -> RunRecord:
+    """The run of :func:`emoabench.algorithms.sms_emoa_run`, written plainly:
+    the combined population is a list of mu + 1 (genome, vector) slots with
+    one free index, each removal is :func:`select_removal_index` on the whole
+    (mu + 1, m) array, and coverage, losses, the hitting time and the best
+    inner level are recounted from the mu survivors after every iteration,
+    with inner levels taken from the genomes.  A loss is a front vector held
+    after the offspring is installed and not after the removal.  From the
+    same RNG stream it must return an equal record."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    n = inst.n
+    stochastic = cfg.update == "stochastic"
+    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
+    max_iters = cfg.max_iterations or default_max_iterations(
+        inst, "spu" if stochastic else "sms", mu
+    )
+    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
+    front = inst.pareto_front().points
+    slots = []
+    for _ in range(mu):
+        genome = _random_genome(n, rng)
+        slots.append((genome, inst.evaluate_mask(genome)))
+    slots.append((0, ()))  # the free slot, filled before it is read
+    free = mu
+    covered: set[ObjectiveVector] = set()
+    trajectory: list[tuple[int, int]] = []
+    inner: list[tuple[int, int]] = []
+    hit = None
+    violations = iterations = 0
+    for t in range(max_iters + 1):
+        if t:  # iteration 0 only records the start
+            if hit is not None and cfg.stop_at_coverage:
+                break
+            iterations = t
+            survivors = [s for s in range(mu + 1) if s != free]
+            parent = slots[survivors[int(rng.integers(mu))]][0]
+            child = cfg.mutation.mutate_mask(parent, n, rng)
+            slots[free] = (child, inst.evaluate_mask(child))
+            covered |= {slots[free][1]} & front
+            eligible = None
+            if stochastic:
+                eligible = sorted(set(rng.integers(mu + 1, size=(mu + 1) // 2).tolist()))
+            objectives = np.array([v for _, v in slots], dtype=np.int64)
+            free = int(select_removal_index(objectives, r, rng, eligible))
+        population = [slot for s, slot in enumerate(slots) if s != free]
+        now = {v for _, v in population} & front
+        violations += len(covered - now)
+        covered = now
+        if not trajectory or trajectory[-1][1] != len(covered):
+            trajectory.append((t, len(covered)))
+        if hit is None and covered == front:
+            hit = t
+        if inst.kind == "mojzj":
+            top = max(inner_level(g, inst) for g, _ in population)
+            if not inner or inner[-1][1] != top:
+                inner.append((t, top))
+    return RunRecord(
+        seed=cfg.seed,
+        iterations_to_coverage=hit,
+        evaluations=mu + iterations,
+        censored=hit is None,
+        coverage_trajectory=trajectory,
+        inner_coverage_trajectory=inner,
+        coverage_violations=violations,
+        max_population_size=mu,
+    )
+
+
 def reference_gsemo_run(
     inst: ProblemInstance,
     cfg: AlgorithmConfig,
@@ -187,9 +269,7 @@ def reference_gsemo_run(
     n = inst.n
     max_iters = cfg.max_iterations or default_max_iterations(inst, "gsemo", n + 1)
     front = inst.pareto_front().points
-    start = 0
-    for shift in range(0, n, 32):  # one scalar draw per 32-bit chunk, low chunk first
-        start |= int(rng.integers(1 << min(32, n - shift))) << shift
+    start = _random_genome(n, rng)
     archive = [(start, inst.evaluate_mask(start))]
     covered: set[ObjectiveVector] = set()
     trajectory: list[tuple[int, int]] = []
@@ -267,6 +347,8 @@ def run_verification(
     (check name, passed, detail) rows, where passed is None for a check
     whose instances the budget all skipped.  Used by the CLI ``verify``
     subcommand."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results: list[tuple[str, bool | None, str]] = []
 

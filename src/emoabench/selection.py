@@ -104,11 +104,11 @@ def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoin
 class SteadyStateSelector:
     """Incremental survivor selection for the steady-state loop.
 
-    Slots hold the combined population; the offspring lives in the currently
-    free slot (the last slot initially), and a removal simply marks the
-    removed slot as the next free slot.  Decisions equal those of the
-    reference :func:`emoabench.oracle.select_removal_index` on the same
-    multiset and RNG stream.
+    Built from the mu population vectors, the selector is the one record of
+    each slot's vector: slot mu starts free, :meth:`set_offspring` fills the
+    free slot, and :meth:`commit_removal` frees a slot and returns its
+    vector.  Decisions equal :func:`emoabench.oracle.select_removal_index`'s
+    on the same multiset and RNG stream.
 
     The dominance index is keyed by distinct objective vector.  ``ids`` maps
     each indexed vector to its id, ``vecs[i]`` is the vector of id ``i``,
@@ -132,28 +132,25 @@ class SteadyStateSelector:
     """
 
     __slots__ = (
-        "tuples", "r", "ids", "vecs", "slots", "vid", "live", "le", "ge", "strict",
-        "dominated", "dup_mask", "free"
+        "r", "ids", "vecs", "slots", "vid", "live", "le", "ge", "strict", "dominated",
+        "dup_mask", "free"
     )
 
-    def __init__(self, tuples: list[ObjectiveVector], r: ReferencePoint):
+    def __init__(self, members: Sequence[ObjectiveVector], r: ReferencePoint):
         # objectives are >= 0, so every member strictly dominates r exactly
         # when r has one negative coordinate per objective
-        if len(r) != len(tuples[0]) or max(r) >= 0:
+        if len(r) != len(members[0]) or max(r) >= 0:
             raise ValueError(f"reference point {r} needs one negative coordinate per objective")
-        n = len(tuples)
-        self.tuples = tuples
         self.r = r
-        self.free = n - 1
+        self.free = len(members)
         self.ids: dict[ObjectiveVector, int] = {}
-        self.vid = [self.ids.setdefault(t, len(self.ids)) for t in tuples]
+        # the free slot's entry is written by set_offspring
+        self.vid = [self.ids.setdefault(t, len(self.ids)) for t in members] + [0]
         self.vecs = list(self.ids)
-        # the free slot holds no population member, so a vector only it
-        # holds starts dead
         self.slots = [0] * len(self.vecs)
         for s, i in enumerate(self.vid[: self.free]):
             self.slots[i] |= 1 << s
-        self.live = sum(1 << i for i, held in enumerate(self.slots) if held)
+        self.live = (1 << len(self.vecs)) - 1
         self.dup_mask = sum(held for held in self.slots if held & (held - 1))
         self.le: list[list[int]] = []
         self.ge: list[list[int]] = []
@@ -194,13 +191,11 @@ class SteadyStateSelector:
             self.slots[i] = held | slot_bit
             self.live |= 1 << i
             self.vid[slot] = i
-            self.tuples[slot] = obj
             return
         if len(obj) != len(self.le):
             raise ValueError(f"offspring {obj} does not have {len(self.le)} objectives")
         if min(obj) < 0:
             raise ValueError(f"objective values must be >= 0, got {obj}")
-        self.tuples[slot] = obj
         dead = ((1 << len(self.vecs)) - 1) & ~self.live
         if dead:
             i = (dead & -dead).bit_length() - 1
@@ -306,11 +301,11 @@ class SteadyStateSelector:
         members = _bits(single)
         if len(members) == 1:
             return members[0]
-        pick = min_contribution_indices([self.tuples[s] for s in members], self.r)
+        pick = min_contribution_indices([self.vecs[self.vid[s]] for s in members], self.r)
         return members[pick[uniform_below(rng, len(pick))]]
 
-    def commit_removal(self, removed: int) -> None:
-        """Drop ``removed``; its slot becomes the next offspring slot.
+    def commit_removal(self, removed: int) -> ObjectiveVector:
+        """Free slot ``removed`` for the next offspring; return its vector.
 
         The removed vector keeps its id, dead once no slot holds it: the
         next :meth:`set_offspring` replaces exactly that slot.
@@ -326,6 +321,7 @@ class SteadyStateSelector:
             if not rest:
                 self.live &= ~(1 << i)
         self.free = removed
+        return self.vecs[i]
 
 
 def _bits(mask: int) -> list[int]:

@@ -155,7 +155,7 @@ def test_criterion_05_survival_stochastic_update():
     mu = 51
     masks = [int(rng.integers(1 << 8)) for _ in range(mu + 1)]
     tuples = [inst.evaluate_mask(g) for g in masks]
-    sel = SteadyStateSelector(list(tuples), default_reference_point(4))
+    sel = SteadyStateSelector(tuples[:-1], default_reference_point(4))
     sel.set_offspring(tuples[-1])
     removed_counts = np.zeros(mu + 1, dtype=np.int64)
     half = (mu + 1) // 2
@@ -189,8 +189,8 @@ def _bound_experiment(inst, cfg, reps, master_seed):
         elapsed = time.perf_counter() - start
         gc.unfreeze()
     summary = summarize(rows)
-    assert report is not None and len(report.rows) == 1
-    return report.rows[0], summary, elapsed
+    assert report is not None and len(report) == 1
+    return report[0], summary, elapsed
 
 
 def test_criterion_06_oneminmax_bound():

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emoabench import algorithms
 from emoabench.algorithms import (
@@ -20,7 +22,7 @@ from emoabench.benchmarks import ProblemInstance, inner_level
 from emoabench.bounds import bound_value
 from emoabench.core import weakly_dominates
 from emoabench.harness import ExperimentSpec, run_experiment
-from emoabench.oracle import reference_gsemo_run
+from emoabench.oracle import reference_gsemo_run, reference_sms_emoa_run
 from emoabench.variation import MutationOperator
 
 MOJZJ8 = ProblemInstance.mojzj(8, 4, 2)
@@ -41,6 +43,8 @@ class TestConfig:
             cfg(mu=0)
         with pytest.raises(ValueError):
             cfg(max_iterations=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            cfg(seed=-1)
 
     def test_gsemo_rejects_options_it_does_not_read(self):
         for kw in (dict(mu=3), dict(refpoint=(-1, -1)), dict(update="stochastic")):
@@ -167,6 +171,34 @@ class TestSteadyStateRun:
         assert rec.iterations_to_coverage is not None
         assert rec.evaluations == 25 + 10000
         assert rec.coverage_violations == 0
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matches_reference_run(self, data):
+        kind = data.draw(st.sampled_from(["mojzj", "momm", "omm", "lotz"]), label="kind")
+        if kind in ("omm", "lotz"):
+            # n above 32 spans two chunks of the start draw
+            n = data.draw(st.one_of(st.integers(2, 10), st.integers(33, 36)), label="n")
+            inst = ProblemInstance(kind, n, 2)
+        else:
+            m = data.draw(st.sampled_from([2, 4]), label="m")
+            nprime = data.draw(st.integers(2, 8 if m == 2 else 4), label="n'")
+            k = data.draw(st.integers(1, nprime // 2), label="k") if kind == "mojzj" else None
+            inst = ProblemInstance(kind, nprime * m // 2, m, k)
+        update = data.draw(st.sampled_from(["standard", "stochastic"]), label="update")
+        beta = data.draw(st.sampled_from([None, 1.5, 3.0]), label="beta")
+        mutation = MutationOperator("standard" if beta is None else "heavy_tailed", beta)
+        # populations below auto_mu lose covered values
+        mu = data.draw(st.none() | st.integers(1, auto_mu(inst, update)), label="mu")
+        c = cfg(
+            mu=mu, update=update, mutation=mutation,
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            max_iterations=data.draw(st.integers(1, 400), label="budget"),
+            stop_at_coverage=data.draw(st.booleans(), label="stop"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert sms_emoa_run(inst, c) == reference_sms_emoa_run(inst, c)
 
 
 class TestGsemoRun:

@@ -73,6 +73,31 @@ class TestRun:
         assert code == 2
         assert "ci95_half=nan -> FAIL" in out
 
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [
+            (["--problem", "momm:n=8,m=4"], "momm:n=8,m=4 with sms_emoa/standard"),
+            (["--problem", "mojzj:n=8,m=2,k=2", "--mutation", "heavy"],
+             "mojzj:n=8,m=2,k=2 with sms_emoa/heavy_tailed"),
+            (["--problem", "omm:n=6", "--algo", "gsemo"], "omm:n=6 with gsemo/standard"),
+        ],
+        ids=["momm", "heavy-tailed", "gsemo-omm"],
+    )
+    def test_bounds_without_closed_form_say_so(self, capsys, argv, setting):
+        code = run_cli("run", *argv, "--reps", "2", "--max-iters", "50", "--bounds")
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"bound: no closed-form bound for {setting} mutation\n" in out
+        assert "bound[" not in out
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = run_cli("run", "--problem", "omm:n=6", "--seed", "-1", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: seed must be >= 0, got -1" in captured.err
+        assert not out.exists()
+
     def test_censored_summary_is_marked(self, capsys):
         code = run_cli("run", "--problem", "omm:n=10", "--reps", "3", "--max-iters", "3")
         out = capsys.readouterr().out
@@ -266,6 +291,13 @@ class TestVerify:
         assert code == 1
         assert captured.out == ""
         assert f"at least 1000 samples required, got {samples}" in captured.err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code = run_cli("verify", "--seed", "-1", "--mc-samples", "1000")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: seed must be >= 0, got -1" in captured.err
 
 
 class TestExitCodesEndToEnd:

@@ -71,11 +71,11 @@ class TestBoundValues:
         # the report resolves mu=None to auto_mu: n+1 = 21 for OneMinMax
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
         report = build_bound_report(ExperimentSpec(OMM20, cfg()), rows)
-        assert report.rows[0].bound == bound_value("omm", OMM20, 21)
+        assert report[0].bound == bound_value("omm", OMM20, 21)
 
     def test_single_repetition_has_no_interval(self):
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
-        row = build_bound_report(ExperimentSpec(OMM20, cfg()), rows).rows[0]
+        (row,) = build_bound_report(ExperimentSpec(OMM20, cfg()), rows)
         assert row.empirical_mean == 100 < row.bound
         assert math.isnan(row.ci_half_width)
         assert not row.passed
@@ -95,6 +95,9 @@ class TestBoundValues:
         # no explicit-constant closed form for these
         assert applicable_theorems(jz, cfg(mutation=MutationOperator("heavy_tailed", 1.5))) == []
         assert applicable_theorems(ProblemInstance.momm(8, 4), cfg()) == []
+        rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
+        momm = ExperimentSpec(ProblemInstance.momm(8, 4), cfg())
+        assert build_bound_report(momm, rows) == ()
 
 
 class TestRunExperiment:
@@ -146,11 +149,17 @@ class TestRunExperiment:
             assert [row.rep for row in rows] == [0, 1, 2, 3]
         assert strip_seconds(tmp_path / "jobs1.csv") == strip_seconds(tmp_path / "jobs2.csv")
 
+    def test_negative_master_seed_rejected_before_the_csv(self, tmp_path):
+        out = tmp_path / "runs.csv"
+        with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+            run_experiment(ExperimentSpec(OMM20, cfg(), 2, -2, out), jobs=1)
+        assert not out.exists()
+
     def test_bound_report(self):
         spec = ExperimentSpec(OMM20, cfg(), repetitions=10, master_seed=1, bound_report=True)
         rows, report = run_experiment(spec, jobs=1)
-        assert report is not None and len(report.rows) == 1
-        row = report.rows[0]
+        assert report is not None and len(report) == 1
+        row = report[0]
         assert row.theorem == "omm"
         assert row.passed
         assert row.empirical_mean + row.ci_half_width <= row.bound
@@ -187,7 +196,7 @@ class TestStatistics:
         spec = ExperimentSpec(OMM20, cfg(max_iterations=1), repetitions=2, master_seed=0)
         rows, _ = run_experiment(spec, jobs=1)
         report = build_bound_report(spec, rows)
-        assert not report.rows[0].passed
+        assert not report[0].passed
 
 
 def test_write_csv_round_trip(tmp_path):

@@ -33,6 +33,11 @@ def half_sample(rng, size):
     return mask
 
 
+def slot_vectors(sel):
+    """The vector each slot's id stands for, free slot included."""
+    return [sel.vecs[i] for i in sel.vid]
+
+
 def shared_slots(tuples, members):
     """Union of the ``members`` slots whose vector another member slot
     shares."""
@@ -48,10 +53,9 @@ def assert_index_definitions(sel, members):
     # one id per distinct vector
     assert sel.ids == {v: i for i, v in enumerate(vecs)} and len(sel.ids) == len(vecs)
     held = [0] * len(vecs)
-    for s in range(len(sel.tuples)):
+    for s, i in enumerate(sel.vid):
         if members >> s & 1:
-            assert vecs[sel.vid[s]] == sel.tuples[s]
-            held[sel.vid[s]] |= 1 << s
+            held[i] |= 1 << s
     assert sel.slots == held
     assert sel.live == sum(1 << i for i in ids if held[i])
     for c in range(len(sel.r)):
@@ -62,7 +66,7 @@ def assert_index_definitions(sel, members):
     strict = [sum(1 << i for i, u in enumerate(vecs) if dominates(u, t)) for t in vecs]
     assert sel.strict == strict
     assert sel.dominated == sum(1 << i for i, col in enumerate(strict) if col)
-    assert sel.dup_mask == shared_slots(sel.tuples, members)
+    assert sel.dup_mask == shared_slots(slot_vectors(sel), members)
 
 
 def live_index(sel, width):
@@ -91,7 +95,7 @@ def fields(sel):
 
 def selector(*objectives):
     """Selector over the combined population, last vector as offspring."""
-    sel = SteadyStateSelector(list(objectives), (-1, -1))
+    sel = SteadyStateSelector(objectives[:-1], (-1, -1))
     sel.set_offspring(objectives[-1])
     return sel
 
@@ -196,8 +200,7 @@ class TestRemovalChoice:
     def test_choose_removal_standard(self):
         sel = selector((0, 2), (1, 1), (2, 0), (0, 0))
         removed = sel.choose_removal(np.random.default_rng(0))
-        assert sel.tuples[removed] == (0, 0)
-        sel.commit_removal(removed)
+        assert sel.commit_removal(removed) == (0, 0)
         assert sel.free == removed  # its slot takes the next offspring
 
     def test_choose_removal_sampled_size(self):
@@ -209,7 +212,7 @@ class TestRemovalChoice:
             eligible = half_sample(rng, 2)
             removed = sel.choose_removal(rng, eligible)
             assert eligible == 1 << removed
-            seen.add(sel.tuples[removed])
+            seen.add(slot_vectors(sel)[removed])
         assert seen == {(0, 2), (2, 0)}
 
     def test_sampled_front_evaluates_hypervolume_only_without_duplicates(self, monkeypatch):
@@ -220,10 +223,11 @@ class TestRemovalChoice:
         )
         sel = selector((0, 3), (1, 1), (3, 0), (1, 1), (2, 2))
         for s in range(20):
-            assert sel.tuples[sel.choose_removal(np.random.default_rng(s), 0b11011)] == (1, 1)
+            removed = sel.choose_removal(np.random.default_rng(s), 0b11011)
+            assert slot_vectors(sel)[removed] == (1, 1)
         assert calls == []
         removed = sel.choose_removal(np.random.default_rng(0), 0b00111)
-        assert (sel.tuples[removed], calls) == ((1, 1), [[(0, 3), (1, 1), (3, 0)]])
+        assert (slot_vectors(sel)[removed], calls) == ((1, 1), [[(0, 3), (1, 1), (3, 0)]])
 
     def test_stochastic_can_spare_the_worst(self):
         # the strictly dominated member survives whenever unsampled
@@ -244,7 +248,7 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
             arr = np.array(pts, dtype=np.int64)
             r = default_reference_point(m)
-            sel = SteadyStateSelector(list(pts), r)
+            sel = SteadyStateSelector(pts[:-1], r)
             sel.set_offspring(pts[-1])
             for s in range(40):
                 a = sel.choose_removal(np.random.default_rng(s))
@@ -259,7 +263,7 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
             arr = np.array(pts, dtype=np.int64)
             r = default_reference_point(m)
-            sel = SteadyStateSelector(list(pts), r)
+            sel = SteadyStateSelector(pts[:-1], r)
             sel.set_offspring(pts[-1])
             sub = sorted({int(i) for i in rng.integers(0, size, size=max(1, size // 2))})
             mask = 0
@@ -273,7 +277,7 @@ class TestSteadyStateSelector:
 
     def test_setup_matches_definitions(self):
         rng = np.random.default_rng(5)
-        seen_dup = seen_dominated = seen_dead = 0
+        seen_dup = seen_dominated = 0
         for m in range(2, 9):
             for _ in range(12):
                 size = int(rng.integers(2, 14))
@@ -281,15 +285,13 @@ class TestSteadyStateSelector:
                 # and dominated members common
                 pool = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size // 2 + 1)]
                 pts = [pool[int(rng.integers(len(pool)))] for _ in range(size)]
-                sel = SteadyStateSelector(list(pts), default_reference_point(m))
-                # the last slot starts free and holds no population member:
-                # its vector is indexed, and dead unless another slot holds it
-                assert set(sel.vecs) == set(pts)
-                assert_index_definitions(sel, (1 << (size - 1)) - 1)
+                sel = SteadyStateSelector(pts, default_reference_point(m))
+                # every member is indexed and live; slot ``size`` starts free
+                assert set(sel.vecs) == set(pts) and sel.free == size
+                assert_index_definitions(sel, (1 << size) - 1)
                 seen_dup += sel.dup_mask != 0
                 seen_dominated += sel.dominated != 0
-                seen_dead += pts[-1] not in pts[:-1]
-        assert seen_dup > 20 and seen_dominated > 20 and seen_dead > 20
+        assert seen_dup > 20 and seen_dominated > 20
 
     def test_incremental_state_matches_rebuild(self):
         rng = np.random.default_rng(3)
@@ -297,17 +299,17 @@ class TestSteadyStateSelector:
             m = int(rng.integers(2, 5))
             size = int(rng.integers(3, 9))
             pts = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size)]
-            sel = SteadyStateSelector(list(pts), default_reference_point(m))
+            sel = SteadyStateSelector(pts[:-1], default_reference_point(m))
             everyone = (1 << size) - 1
             for _ in range(20):
                 # offspring values above the initial maximum grow the tables
                 sel.set_offspring(tuple(map(int, rng.integers(0, 7, size=m))))
                 # with the offspring installed, every slot is a member
                 assert_index_definitions(sel, everyone)
-                # a fresh build with one more, free, slot indexes the same
-                # members; ids may be numbered differently, and a grown
-                # table may keep entries past the current maximum
-                fresh = SteadyStateSelector(list(sel.tuples) + [sel.tuples[0]], sel.r)
+                # a fresh build from the members indexes the same members;
+                # ids may be numbered differently, and a grown table may
+                # keep entries past the current maximum
+                fresh = SteadyStateSelector(slot_vectors(sel), sel.r)
                 width = [len(col) for col in fresh.le]
                 assert live_index(sel, width) == live_index(fresh, width)
                 sel.commit_removal(sel.choose_removal(rng))
@@ -316,8 +318,10 @@ class TestSteadyStateSelector:
 
     def test_dead_ids_are_revived_and_reused(self):
         r = (-1, -1)
-        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2), (2, 0)], r)
-        # only the free slot holds (2, 0), so its id starts dead
+        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], r)
+        assert (sel.live, sel.dup_mask, sel.free) == (0b11, 0b110, 3)
+        sel.set_offspring((2, 0))
+        assert sel.commit_removal(3) == (2, 0)  # no other slot holds (2, 0): id 2 dies
         assert sel.ids == {(1, 1): 0, (0, 2): 1, (2, 0): 2}
         assert (sel.live, sel.dup_mask) == (0b011, 0b110)
 
@@ -349,12 +353,28 @@ class TestSteadyStateSelector:
         assert sel.vecs == [(3, 0), (0, 2), (2, 0), (1, 3)] and sel.vid[1] == 3
         assert sel.dominated == 0b110
         assert_index_definitions(sel, 0b1111)
-        arr = np.array(sel.tuples, dtype=np.int64)
+        arr = np.array(slot_vectors(sel), dtype=np.int64)
         for s in range(20):
             # the last front {(0, 2), (2, 0)} is decided by hypervolume
             assert sel.choose_removal(np.random.default_rng(s)) == select_removal_index(
                 arr, r, np.random.default_rng(s)
             )
+
+    def test_owns_the_slot_vectors(self):
+        # the caller's list is neither kept nor written: the selector is the
+        # one record of each slot's vector
+        members = [(0, 2), (2, 0), (1, 1)]
+        sel = SteadyStateSelector(members, (-1, -1))
+        assert all(getattr(sel, name) is not members for name in SteadyStateSelector.__slots__)
+        sel.set_offspring((0, 0))
+        assert members == [(0, 2), (2, 0), (1, 1)] and sel.free == 3
+        members[0] = (5, 5)
+        removed = sel.choose_removal(np.random.default_rng(0))
+        assert removed == 3 and sel.commit_removal(removed) == (0, 0)
+        # a removal that leaves its vector present returns it too
+        sel.set_offspring((1, 1))
+        assert sel.commit_removal(2) == (1, 1)
+        assert slot_vectors(sel)[:2] + slot_vectors(sel)[3:] == [(0, 2), (2, 0), (1, 1)]
 
     def test_reference_point_must_be_strictly_dominated(self):
         # objectives are >= 0, so every member strictly dominates r exactly
@@ -403,7 +423,7 @@ class TestSteadyStateSelector:
         sampled = data.draw(st.booleans(), label="sampled")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         r = default_reference_point(m)
-        sel = SteadyStateSelector(list(pop), r)
+        sel = SteadyStateSelector(pop[:-1], r)
         sel.set_offspring(pop[-1])
         sel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(40):
