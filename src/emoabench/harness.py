@@ -129,11 +129,10 @@ def _one_rep(
     else:
         record = sms_emoa_run(inst, cfg, rng)
     elapsed = time.perf_counter() - start
-    initial = 1 if cfg.algo == "gsemo" else record.max_population_size
     iterations = (
         record.iterations_to_coverage
         if record.iterations_to_coverage is not None
-        else record.evaluations - initial  # iterations actually executed
+        else record.iterations
     )
     return rep, iterations, record.evaluations, record.censored, elapsed
 

@@ -244,6 +244,7 @@ def reference_sms_emoa_run(
     return RunRecord(
         seed=cfg.seed,
         iterations_to_coverage=hit,
+        iterations=iterations,
         evaluations=mu + iterations,
         censored=hit is None,
         coverage_trajectory=trajectory,
@@ -303,6 +304,7 @@ def reference_gsemo_run(
     return RunRecord(
         seed=cfg.seed,
         iterations_to_coverage=hit,
+        iterations=iterations,
         evaluations=1 + iterations,
         censored=hit is None,
         coverage_trajectory=trajectory,

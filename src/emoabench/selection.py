@@ -12,10 +12,13 @@ be evaluated.
 The selector keys its dominance index by distinct objective vector: a
 population of many slots often holds far fewer vectors, most offspring
 repeat a vector already present, and most removals leave their vector
-present.  Such an offspring or removal only flips one slot bit; a new
-vector costs time in its change of value, not in the population size, and
-a mask of strictly dominated vectors lets the last-front peel return at
-once on an antichain.
+present.  Such an offspring or removal only flips one slot bit.  Each
+distinct vector is entered once per run, at the cost of one pass over the
+value tables, and keeps its id; this relies on the problem having few
+vectors, which bound the ids: (n'+1)^(m/2) for mojzj and momm with block
+length n' = 2n/m, n+1 for omm and at most (n+1)(n+2)/2 for lotz.  A mask
+of strictly dominated vectors lets the last-front peel return at once on
+an antichain.
 """
 
 from __future__ import annotations
@@ -114,9 +117,11 @@ class SteadyStateSelector:
     each indexed vector to its id, ``vecs[i]`` is the vector of id ``i``,
     ``slots[i]`` the bitmask of population slots holding it and ``vid[s]``
     the id of slot ``s``'s vector; ``live`` is the mask of ids some slot
-    holds.  An id whose slots have all been removed is dead: its vector
-    keeps its place in every table, so an offspring of that vector revives
-    it, and a new vector takes the lowest dead id.
+    holds.  A vector new to the run takes the next id, ``len(vecs)``, and
+    keeps it for the whole run.  An id whose slots have all been removed is
+    dead: its vector keeps its place in every table, so an offspring of
+    that vector revives it.  The ids are thus bounded by the problem's
+    vector count (see the module docstring), not by the run length.
 
     All other sets are plain-int id bitmasks over live and dead ids alike.
     ``le[c][v]`` (``ge[c][v]``) holds the ids whose coordinate c is <= v
@@ -126,9 +131,9 @@ class SteadyStateSelector:
     the ids with any strict dominator; the peel masks both with the ids it
     considers.  ``dup_mask``, a slot mask, holds the population slots whose
     vector some other population slot shares.  An offspring whose vector
-    is indexed only sets its slot bit; a new vector moves its id's bits
-    only across the values between the id's old and new coordinates and
-    touches only the strict bits that change.
+    is indexed only sets its slot bit; a new vector sets its id's bit in
+    the value tables and in the strict entry of each id it strictly
+    dominates, and no existing bit ever changes.
     """
 
     __slots__ = (
@@ -147,6 +152,8 @@ class SteadyStateSelector:
         # the free slot's entry is written by set_offspring
         self.vid = [self.ids.setdefault(t, len(self.ids)) for t in members] + [0]
         self.vecs = list(self.ids)
+        for t in self.vecs:
+            _check_vector(t, len(r))
         self.slots = [0] * len(self.vecs)
         for s, i in enumerate(self.vid[: self.free]):
             self.slots[i] |= 1 << s
@@ -154,9 +161,7 @@ class SteadyStateSelector:
         self.dup_mask = sum(held for held in self.slots if held & (held - 1))
         self.le: list[list[int]] = []
         self.ge: list[list[int]] = []
-        for c, column in enumerate(zip(*self.vecs)):
-            if min(column) < 0:
-                raise ValueError(f"objective values must be >= 0, got {min(column)}")
+        for column in zip(*self.vecs):
             at = [0] * (max(column) + 1)
             for i, v in enumerate(column):
                 at[v] |= 1 << i
@@ -192,68 +197,28 @@ class SteadyStateSelector:
             self.live |= 1 << i
             self.vid[slot] = i
             return
-        if len(obj) != len(self.le):
-            raise ValueError(f"offspring {obj} does not have {len(self.le)} objectives")
-        if min(obj) < 0:
-            raise ValueError(f"objective values must be >= 0, got {obj}")
-        dead = ((1 << len(self.vecs)) - 1) & ~self.live
-        if dead:
-            i = (dead & -dead).bit_length() - 1
-            old = self.vecs[i]
-            del self.ids[old]
-            self.vecs[i] = obj
-        else:
-            # a fresh id enters the tables as the all-zero vector, which
-            # lies in every ``le`` entry and in ``ge`` at 0 only
-            i = len(self.vecs)
-            old = (0,) * len(obj)
-            self.vecs.append(obj)
-            self.slots.append(0)
-            self.strict.append(0)
-            fresh = 1 << i
-            for le_c, ge_c in zip(self.le, self.ge):
-                le_c[:] = [mask | fresh for mask in le_c]
-                ge_c[0] |= fresh
-        self.ids[obj] = i
-        self.slots[i] = slot_bit
-        self.vid[slot] = i
+        _check_vector(obj, len(self.r))
+        # a vector new to this run takes the next id and keeps it
+        i = len(self.vecs)
         bit = 1 << i
-        not_bit = ~bit
+        self.ids[obj] = i
+        self.vecs.append(obj)
+        self.slots.append(slot_bit)
+        self.vid[slot] = i
         self.live |= bit
-        # ids the old vector strictly dominated; each has a strict
-        # dominator, so they all lie in ``dominated``
-        strict = self.strict
-        lost = 0
-        for j in _bits(self.dominated):
-            if strict[j] & bit:
-                lost |= 1 << j
-        for le_c, ge_c, a, b in zip(self.le, self.ge, old, obj):
-            if b < a:
-                for v in range(b, a):
-                    le_c[v] |= bit
-                for v in range(b + 1, a + 1):
-                    ge_c[v] &= not_bit
-            elif b > a:
-                if b >= len(le_c):  # no id lies above the table yet
-                    le_c.extend([(1 << len(self.vecs)) - 1] * (b + 1 - len(le_c)))
-                    ge_c.extend([0] * (b + 1 - len(ge_c)))
-                for v in range(a, b):
-                    le_c[v] &= not_bit
-                for v in range(a + 1, b + 1):
-                    ge_c[v] |= bit
+        for le_c, ge_c, v in zip(self.le, self.ge, obj):
+            if v >= len(le_c):  # no id lies above the table yet
+                le_c.extend([le_c[-1]] * (v + 1 - len(le_c)))
+                ge_c.extend([0] * (v + 1 - len(ge_c)))
+            le_c[v:] = [mask | bit for mask in le_c[v:]]
+            ge_c[: v + 1] = [mask | bit for mask in ge_c[: v + 1]]
         above, below = self._cones(obj)
+        strict = above & ~below
+        self.strict.append(strict)
         gained = below & ~above
-        strict[i] = above & ~below
-        dominated = (self.dominated | gained) & not_bit
-        if strict[i]:
-            dominated |= bit
-        for j in _bits(lost & ~gained):
-            strict[j] &= not_bit
-            if not strict[j]:
-                dominated &= ~(1 << j)
-        for j in _bits(gained & ~lost):
-            strict[j] |= bit
-        self.dominated = dominated
+        for j in _bits(gained):
+            self.strict[j] |= bit
+        self.dominated |= gained | (bit if strict else 0)
 
     def _last_front(self, alive: int) -> int:
         # only ids with some strict dominator can fall behind the first
@@ -322,6 +287,16 @@ class SteadyStateSelector:
                 self.live &= ~(1 << i)
         self.free = removed
         return self.vecs[i]
+
+
+def _check_vector(obj: ObjectiveVector, m: int) -> None:
+    """Reject a vector the value index cannot hold: zip would index a short
+    or long one by its truncated coordinates, and a negative value has no
+    table entry."""
+    if len(obj) != m:
+        raise ValueError(f"objective vector {obj} does not have {m} objectives")
+    if min(obj) < 0:
+        raise ValueError(f"objective values must be >= 0, got {obj}")
 
 
 def _bits(mask: int) -> list[int]:

@@ -135,12 +135,13 @@ class TestSteadyStateRun:
     def test_evaluation_accounting(self):
         rec = sms_emoa_run(MOJZJ8, cfg(seed=1, mu=25))
         assert rec.evaluations == 25 + rec.iterations_to_coverage
+        assert rec.iterations == rec.iterations_to_coverage
 
     def test_censoring_is_loud_but_not_fatal(self):
         rec = sms_emoa_run(MOJZJ8, cfg(seed=2, max_iterations=5))
         assert rec.censored
         assert rec.iterations_to_coverage is None
-        assert rec.evaluations == 25 + 5
+        assert (rec.iterations, rec.evaluations) == (5, 25 + 5)
 
     def test_small_mu_warns(self):
         with pytest.warns(UserWarning, match="survival-guarantee"):
@@ -169,7 +170,7 @@ class TestSteadyStateRun:
         c = cfg(seed=7, max_iterations=10000, stop_at_coverage=False)
         rec = sms_emoa_run(MOJZJ8, c)
         assert rec.iterations_to_coverage is not None
-        assert rec.evaluations == 25 + 10000
+        assert (rec.iterations, rec.evaluations) == (10000, 25 + 10000)
         assert rec.coverage_violations == 0
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -214,6 +215,7 @@ class TestGsemoRun:
     def test_evaluation_accounting(self):
         rec = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=2))
         assert rec.evaluations == 1 + rec.iterations_to_coverage
+        assert rec.iterations == rec.iterations_to_coverage
 
     def test_deterministic(self):
         a = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=3))
@@ -378,6 +380,13 @@ class TestDispatchAndCoverage:
             assert (row.iterations, row.evaluations) == (
                 rec.iterations_to_coverage, rec.evaluations
             )
+
+    def test_capped_rows_count_executed_iterations(self):
+        # a censored row reports the iterations its run executed
+        for algo, start in (("sms_emoa", 25), ("gsemo", 1)):
+            c = cfg(algo=algo, seed=0, max_iterations=3)
+            (row,), _ = run_experiment(ExperimentSpec(MOJZJ8, c), jobs=1)
+            assert (row.iterations, row.evaluations, row.censored) == (3, start + 3, True)
 
 
 # (iterations_to_coverage, evaluations, coverage_trajectory,

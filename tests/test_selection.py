@@ -82,7 +82,7 @@ def live_index(sel, width):
     return (
         {vecs[i]: sel.slots[i] for i in live},
         {vecs[i]: named(sel.strict[i]) for i in live},
-        named(sel.dominated),
+        {vecs[i] for i in live if sel.strict[i] & sel.live},
         [[named(mask) for mask in table[:w]] for table, w in zip(sel.le + sel.ge, width * 2)],
         sel.dup_mask,
     )
@@ -301,9 +301,14 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size)]
             sel = SteadyStateSelector(pts[:-1], default_reference_point(m))
             everyone = (1 << size) - 1
+            inserted = dict.fromkeys(pts[:-1])
             for _ in range(20):
                 # offspring values above the initial maximum grow the tables
-                sel.set_offspring(tuple(map(int, rng.integers(0, 7, size=m))))
+                offspring = tuple(map(int, rng.integers(0, 7, size=m)))
+                sel.set_offspring(offspring)
+                # each distinct vector keeps the id it was first given
+                inserted.setdefault(offspring)
+                assert sel.vecs == list(inserted)
                 # with the offspring installed, every slot is a member
                 assert_index_definitions(sel, everyone)
                 # a fresh build from the members indexes the same members;
@@ -316,7 +321,7 @@ class TestSteadyStateSelector:
                 # the freed slot holds no member any more
                 assert_index_definitions(sel, everyone & ~(1 << sel.free))
 
-    def test_dead_ids_are_revived_and_reused(self):
+    def test_dead_ids_are_revived_not_reused(self):
         r = (-1, -1)
         sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], r)
         assert (sel.live, sel.dup_mask, sel.free) == (0b11, 0b110, 3)
@@ -334,24 +339,25 @@ class TestSteadyStateSelector:
         sel.commit_removal(0)  # (1, 1) has no other holder: id 0 dies
         assert (sel.live, sel.slots[0], sel.free) == (0b010, 0, 0)
 
-        sel.set_offspring((3, 0))  # a new vector takes the lowest of the dead ids 0 and 2
-        assert sel.vecs == [(3, 0), (0, 2), (2, 0)] and (1, 1) not in sel.ids
+        sel.set_offspring((3, 0))  # a new vector takes id len(vecs), not a dead id
+        assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0)] and sel.vid[0] == 3
+        assert sel.ids[(1, 1)] == 0 and sel.ids[(2, 0)] == 2  # dead ids keep their vectors
         assert len(sel.le[0]) == len(sel.ge[0]) == 4  # coordinate 3 grows the tables
-        assert sel.dominated == 0b100  # the dead (2, 0) keeps its strict dominator
+        assert sel.dominated == 0b0100  # the dead (2, 0) gains a strict dominator
         assert_index_definitions(sel, 0b1111)
 
         sel.commit_removal(3)  # (0, 2) keeps two slots
-        assert (sel.live, sel.dup_mask) == (0b011, 0b0110)
+        assert (sel.live, sel.dup_mask) == (0b1010, 0b0110)
         before = tables()
         sel.set_offspring((2, 0))  # revives id 2 in place
-        assert (sel.vid[3], sel.live, tables()) == (2, 0b111, before)
+        assert (sel.vid[3], sel.live, tables()) == (2, 0b1110, before)
         assert_index_definitions(sel, 0b1111)
 
-        sel.commit_removal(1)  # (0, 2) keeps slot 2: every id stays live
-        assert (sel.live, sel.dup_mask) == (0b111, 0)
-        sel.set_offspring((1, 3))  # so the new vector takes a fresh id
-        assert sel.vecs == [(3, 0), (0, 2), (2, 0), (1, 3)] and sel.vid[1] == 3
-        assert sel.dominated == 0b110
+        sel.commit_removal(1)  # (0, 2) keeps slot 2
+        assert (sel.live, sel.dup_mask) == (0b1110, 0)
+        sel.set_offspring((1, 3))  # the dead id 0 stays (1, 1): a fresh id
+        assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0), (1, 3)] and sel.vid[1] == 4
+        assert sel.dominated == 0b00111
         assert_index_definitions(sel, 0b1111)
         arr = np.array(slot_vectors(sel), dtype=np.int64)
         for s in range(20):
@@ -399,6 +405,9 @@ class TestSteadyStateSelector:
 
     def test_wrong_objective_count_rejected(self):
         # zip would index a short or long vector by its truncated coordinates
+        for members in ([(0, 2), (2, 0, 5), (1, 1)], [(0, 2), (1, 1), (2,)]):
+            with pytest.raises(ValueError, match="does not have 2 objectives"):
+                SteadyStateSelector(members, (-1, -1))
         sel = SteadyStateSelector([(0, 2), (2, 0), (1, 1)], (-1, -1))
         before = fields(sel)
         with pytest.raises(ValueError, match="does not have 2 objectives"):
