@@ -5,8 +5,12 @@ entire Pareto front or the iteration cap is reached; a capped run is marked
 censored rather than raising.  One tracker per run owns every per-vector
 fact, read from the objective vector alone: a counter per attained front
 value gives coverage, its losses and the hitting time, and on mojzj a
-histogram of inner levels gives the best inner level, so the per-iteration
-bookkeeping is O(1) on top of selection.  GSEMO's archive is one dict.
+histogram of inner levels gives the best inner level.  These facts change
+only when a vector enters or leaves the population, so SMS-EMOA updates the
+tracker only on the births and deaths its selector reports (most offspring
+repeat a vector already present, and most removals leave theirs present).
+GSEMO's archive is one dict, and it updates the tracker per accepted child
+and per dropped member.
 """
 
 from __future__ import annotations
@@ -130,6 +134,13 @@ class _CoverageTracker:
     """Every per-vector fact of a run: front coverage, its losses, the first
     iteration of full coverage (``hit``) and, on mojzj, the best inner level.
 
+    ``counts`` and ``levels`` count adds minus removes.  SMS-EMOA adds a
+    vector when its first holder arrives and removes it when its last one
+    leaves, so there they count distinct vectors; GSEMO adds each accepted
+    child and removes each dropped member.  Only whether a count is zero
+    matters.  ``record`` appends to a trajectory only when its value
+    changed, so a call with no add or remove since the last one is a no-op.
+
     ``facts`` maps each vector seen to (front number or None, inner level).
     A mojzj block is at an inner ones-count c in [k..n'-k] exactly when both
     values of its pair (k+c, k+n'-c) are >= 2k: an all-zero or all-one block
@@ -219,18 +230,21 @@ def sms_emoa_run(
 
     genomes = _random_masks(n, mu, rng) + [0]
     members = [inst.evaluate_mask(g) for g in genomes[:mu]]
+    # the tracker counts distinct vectors: it changes only when the selector
+    # reports a vector's first holder arriving or its last one leaving
     cov = _CoverageTracker(inst)
-    for t in members:
+    for t in dict.fromkeys(members):
         cov.add(t)
     cov.record(0)
 
     selector = SteadyStateSelector(members, r)
     evaluate = inst.evaluate_mask
     mutate = cfg.mutation.mutate_mask
+    stop = cfg.stop_at_coverage
+    if stop and cov.hit is not None:
+        max_iters = 0  # the start population covers the front
     iterations = 0
     for t_iter in range(1, max_iters + 1):
-        if cov.hit is not None and cfg.stop_at_coverage:
-            break
         iterations = t_iter
         free = selector.free
         # survivors occupy every slot except the free one
@@ -240,17 +254,23 @@ def sms_emoa_run(
         child = mutate(genomes[parent], n, rng)
         cobj = evaluate(child)
         genomes[free] = child
-        selector.set_offspring(cobj)
-        cov.add(cobj)
+        born = selector.set_offspring(cobj)
 
         eligible = None
         if stochastic:
             eligible = 0
             for d in rng.integers(mu + 1, size=(mu + 1) // 2).tolist():
                 eligible |= 1 << d
-        removed = selector.choose_removal(rng, eligible)
-        cov.remove(selector.commit_removal(removed))
-        cov.record(t_iter)
+        gone = selector.commit_removal(selector.choose_removal(rng, eligible))
+        if born or gone is not None:
+            # added before the removal, as the offspring joined first
+            if born:
+                cov.add(cobj)
+            if gone is not None:
+                cov.remove(gone)
+            cov.record(t_iter)
+            if stop and cov.hit is not None:
+                break
 
     return RunRecord(
         seed=cfg.seed,
@@ -298,6 +318,9 @@ def gsemo_run(
     cov.record(0)
     max_pop = 1
     antichain_violations = 0
+    # the archive's vector set changes seldom and never returns to an
+    # earlier one, so the last set checked and its count make the cache
+    checked, checked_pairs = frozenset(), 0
 
     iterations = 0
     for t_iter in range(1, max_iters + 1):
@@ -316,7 +339,10 @@ def gsemo_run(
             archive[cobj] = child
             max_pop = max(max_pop, len(archive))
         if verify_antichain_every and t_iter % verify_antichain_every == 0:
-            antichain_violations += _comparable_pairs(list(archive))
+            vectors = frozenset(archive)
+            if vectors != checked:
+                checked, checked_pairs = vectors, _comparable_pairs(list(archive))
+            antichain_violations += checked_pairs
         cov.record(t_iter)
 
     return RunRecord(

@@ -109,9 +109,13 @@ class SteadyStateSelector:
 
     Built from the mu population vectors, the selector is the one record of
     each slot's vector: slot mu starts free, :meth:`set_offspring` fills the
-    free slot, and :meth:`commit_removal` frees a slot and returns its
-    vector.  Decisions equal :func:`emoabench.oracle.select_removal_index`'s
-    on the same multiset and RNG stream.
+    free slot, and :meth:`commit_removal` frees a slot.  Both report when
+    the population's vector set changes, so a caller keeping per-vector
+    facts need act only then: ``set_offspring`` returns True on a birth (no
+    slot held the vector before) and ``commit_removal`` returns the vector
+    on a death (its last holder left), else None.  Decisions equal
+    :func:`emoabench.oracle.select_removal_index`'s on the same multiset and
+    RNG stream.
 
     The dominance index is keyed by distinct objective vector.  ``ids`` maps
     each indexed vector to its id, ``vecs[i]`` is the vector of id ``i``,
@@ -183,20 +187,22 @@ class SteadyStateSelector:
             below &= le_c[v]
         return above, below
 
-    def set_offspring(self, obj: ObjectiveVector) -> None:
-        """Install the offspring objective vector in the free slot."""
+    def set_offspring(self, obj: ObjectiveVector) -> bool:
+        """Install the offspring objective vector in the free slot; return
+        True iff no population slot held that vector before (a birth)."""
         slot = self.free
         slot_bit = 1 << slot
         i = self.ids.get(obj)
         if i is not None:
             # an indexed vector, live or dead: no table changes
             held = self.slots[i]
+            self.slots[i] = held | slot_bit
+            self.vid[slot] = i
             if held:
                 self.dup_mask |= held | slot_bit
-            self.slots[i] = held | slot_bit
+                return False
             self.live |= 1 << i
-            self.vid[slot] = i
-            return
+            return True
         _check_vector(obj, len(self.r))
         # a vector new to this run takes the next id and keeps it
         i = len(self.vecs)
@@ -219,6 +225,7 @@ class SteadyStateSelector:
         for j in _bits(gained):
             self.strict[j] |= bit
         self.dominated |= gained | (bit if strict else 0)
+        return True
 
     def _last_front(self, alive: int) -> int:
         # only ids with some strict dominator can fall behind the first
@@ -269,8 +276,9 @@ class SteadyStateSelector:
         pick = min_contribution_indices([self.vecs[self.vid[s]] for s in members], self.r)
         return members[pick[uniform_below(rng, len(pick))]]
 
-    def commit_removal(self, removed: int) -> ObjectiveVector:
-        """Free slot ``removed`` for the next offspring; return its vector.
+    def commit_removal(self, removed: int) -> ObjectiveVector | None:
+        """Free slot ``removed`` for the next offspring.  Return its vector
+        if that was its last holder (a death), else None.
 
         The removed vector keeps its id, dead once no slot holds it: the
         next :meth:`set_offspring` replaces exactly that slot.
@@ -280,13 +288,14 @@ class SteadyStateSelector:
         rest = self.slots[i] & ~bit
         self.slots[i] = rest
         self.dup_mask &= ~bit
+        self.free = removed
         if not rest & (rest - 1):
             # at most one holder is left: the vector is no longer shared
             self.dup_mask &= ~rest
             if not rest:
                 self.live &= ~(1 << i)
-        self.free = removed
-        return self.vecs[i]
+                return self.vecs[i]
+        return None
 
 
 def _check_vector(obj: ObjectiveVector, m: int) -> None:

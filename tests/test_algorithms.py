@@ -483,3 +483,14 @@ class TestGoldenRuns:
         )
         rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 3), c)
         assert golden(rec) == GOLDEN_HEAVY_JUMP4_K3_SPU
+
+    @pytest.mark.parametrize("inst, c, losses", [
+        (ProblemInstance.oneminmax(8), cfg(mu=3, max_iterations=2000, stop_at_coverage=False), 981),
+        (ProblemInstance.momm(8, 4), cfg(mu=12, max_iterations=500), 173),
+    ], ids=["omm", "momm"])
+    def test_documented_loss_counts(self, inst, c, losses):
+        # the counts RunRecord's docstring and README cite, which include an
+        # offspring removed in its own iteration
+        with pytest.warns(UserWarning, match="survival-guarantee"):
+            rec = sms_emoa_run(inst, c)
+        assert (rec.iterations, rec.coverage_violations) == (c.max_iterations, losses)

@@ -305,7 +305,10 @@ class TestSteadyStateSelector:
             for _ in range(20):
                 # offspring values above the initial maximum grow the tables
                 offspring = tuple(map(int, rng.integers(0, 7, size=m)))
-                sel.set_offspring(offspring)
+                present = slot_vectors(sel)
+                del present[sel.free]
+                # a birth: no other slot holds the offspring's vector
+                assert sel.set_offspring(offspring) == (offspring not in present)
                 # each distinct vector keeps the id it was first given
                 inserted.setdefault(offspring)
                 assert sel.vecs == list(inserted)
@@ -317,7 +320,13 @@ class TestSteadyStateSelector:
                 fresh = SteadyStateSelector(slot_vectors(sel), sel.r)
                 width = [len(col) for col in fresh.le]
                 assert live_index(sel, width) == live_index(fresh, width)
-                sel.commit_removal(sel.choose_removal(rng))
+                removed = sel.choose_removal(rng)
+                vector = slot_vectors(sel)[removed]
+                gone = sel.commit_removal(removed)
+                rest = slot_vectors(sel)
+                del rest[sel.free]
+                # a death: no remaining slot holds the removed vector
+                assert gone == (None if vector in rest else vector)
                 # the freed slot holds no member any more
                 assert_index_definitions(sel, everyone & ~(1 << sel.free))
 
@@ -325,7 +334,7 @@ class TestSteadyStateSelector:
         r = (-1, -1)
         sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], r)
         assert (sel.live, sel.dup_mask, sel.free) == (0b11, 0b110, 3)
-        sel.set_offspring((2, 0))
+        assert sel.set_offspring((2, 0)) is True  # a new vector is born
         assert sel.commit_removal(3) == (2, 0)  # no other slot holds (2, 0): id 2 dies
         assert sel.ids == {(1, 1): 0, (0, 2): 1, (2, 0): 2}
         assert (sel.live, sel.dup_mask) == (0b011, 0b110)
@@ -334,28 +343,28 @@ class TestSteadyStateSelector:
             return [list(col) for col in sel.le + sel.ge], list(sel.strict), sel.dominated
 
         before = tables()
-        sel.set_offspring((0, 2))  # a live vector gains a slot
+        assert sel.set_offspring((0, 2)) is False  # a live vector gains a slot
         assert (sel.vid[3], sel.slots[1], sel.dup_mask, tables()) == (1, 0b1110, 0b1110, before)
-        sel.commit_removal(0)  # (1, 1) has no other holder: id 0 dies
+        assert sel.commit_removal(0) == (1, 1)  # (1, 1) has no other holder: id 0 dies
         assert (sel.live, sel.slots[0], sel.free) == (0b010, 0, 0)
 
-        sel.set_offspring((3, 0))  # a new vector takes id len(vecs), not a dead id
+        assert sel.set_offspring((3, 0)) is True  # a new vector takes id len(vecs), not a dead id
         assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0)] and sel.vid[0] == 3
         assert sel.ids[(1, 1)] == 0 and sel.ids[(2, 0)] == 2  # dead ids keep their vectors
         assert len(sel.le[0]) == len(sel.ge[0]) == 4  # coordinate 3 grows the tables
         assert sel.dominated == 0b0100  # the dead (2, 0) gains a strict dominator
         assert_index_definitions(sel, 0b1111)
 
-        sel.commit_removal(3)  # (0, 2) keeps two slots
+        assert sel.commit_removal(3) is None  # (0, 2) keeps two slots
         assert (sel.live, sel.dup_mask) == (0b1010, 0b0110)
         before = tables()
-        sel.set_offspring((2, 0))  # revives id 2 in place
+        assert sel.set_offspring((2, 0)) is True  # revives id 2 in place
         assert (sel.vid[3], sel.live, tables()) == (2, 0b1110, before)
         assert_index_definitions(sel, 0b1111)
 
-        sel.commit_removal(1)  # (0, 2) keeps slot 2
+        assert sel.commit_removal(1) is None  # (0, 2) keeps slot 2
         assert (sel.live, sel.dup_mask) == (0b1110, 0)
-        sel.set_offspring((1, 3))  # the dead id 0 stays (1, 1): a fresh id
+        assert sel.set_offspring((1, 3)) is True  # the dead id 0 stays (1, 1): a fresh id
         assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0), (1, 3)] and sel.vid[1] == 4
         assert sel.dominated == 0b00111
         assert_index_definitions(sel, 0b1111)
@@ -377,9 +386,9 @@ class TestSteadyStateSelector:
         members[0] = (5, 5)
         removed = sel.choose_removal(np.random.default_rng(0))
         assert removed == 3 and sel.commit_removal(removed) == (0, 0)
-        # a removal that leaves its vector present returns it too
+        # a removal that leaves its vector present returns None
         sel.set_offspring((1, 1))
-        assert sel.commit_removal(2) == (1, 1)
+        assert sel.commit_removal(2) is None
         assert slot_vectors(sel)[:2] + slot_vectors(sel)[3:] == [(0, 2), (2, 0), (1, 1)]
 
     def test_reference_point_must_be_strictly_dominated(self):
