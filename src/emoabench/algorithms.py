@@ -3,14 +3,14 @@
 Both run functions execute until the population's objective values cover the
 entire Pareto front or the iteration cap is reached; a capped run is marked
 censored rather than raising.  One tracker per run owns every per-vector
-fact, read from the objective vector alone: a counter per attained front
-value gives coverage, its losses and the hitting time, and on mojzj a
-histogram of inner levels gives the best inner level.  These facts change
-only when a vector enters or leaves the population, so SMS-EMOA updates the
-tracker only on the births and deaths its selector reports (most offspring
-repeat a vector already present, and most removals leave theirs present).
-GSEMO's archive is one dict, and it updates the tracker per accepted child
-and per dropped member.
+fact, read from the objective vector alone: the number of distinct front
+vectors held gives coverage, its losses and the hitting time, and on mojzj
+a histogram of inner levels gives the best inner level.  These facts change
+only when a vector enters or leaves the population, so both runs update the
+tracker only on vector births and deaths (most offspring repeat a vector
+already present, and most removals leave theirs present).  SMS-EMOA's
+selector reports them; GSEMO's archive is one dict from vector to genome, so
+a birth is a child whose vector it lacks and a death a dropped member.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ class RunRecord:
     with it covered: omm n=8 at mu=3 (2000 iterations, seed 0) reads 981,
     of which 140 are values held at an iteration's end.  At auto mu no such
     removal occurs.
+
+    ``antichain_violations`` (GSEMO only) sums, over every vector set the
+    archive takes, the pairs of its vectors in which one weakly dominates
+    the other; a correct archive reads 0.
     """
 
     seed: int
@@ -134,30 +138,27 @@ class _CoverageTracker:
     """Every per-vector fact of a run: front coverage, its losses, the first
     iteration of full coverage (``hit``) and, on mojzj, the best inner level.
 
-    ``counts`` and ``levels`` count adds minus removes.  SMS-EMOA adds a
-    vector when its first holder arrives and removes it when its last one
-    leaves, so there they count distinct vectors; GSEMO adds each accepted
-    child and removes each dropped member.  Only whether a count is zero
-    matters.  ``record`` appends to a trajectory only when its value
-    changed, so a call with no add or remove since the last one is a no-op.
+    Both runs add a vector when it enters the population and remove it when
+    its last holder leaves, so ``covered`` and the ``levels`` histogram count
+    distinct vectors.  ``record`` appends to a trajectory only when its value
+    changed; the runs call it only after an add or a remove.
 
-    ``facts`` maps each vector seen to (front number or None, inner level).
-    A mojzj block is at an inner ones-count c in [k..n'-k] exactly when both
-    values of its pair (k+c, k+n'-c) are >= 2k: an all-zero or all-one block
-    has a value of k, a block in the gap one below k.  Other kinds put every
+    ``facts`` maps each vector seen to (on the front, inner level).  A mojzj
+    block is at an inner ones-count c in [k..n'-k] exactly when both values
+    of its pair (k+c, k+n'-c) are >= 2k: an all-zero or all-one block has a
+    value of k, a block in the gap one below k.  Other kinds put every
     vector at level 0 and keep no inner trajectory.
     """
 
     __slots__ = (
-        "inst", "front", "facts", "counts", "levels", "covered", "hit",
+        "inst", "front", "facts", "levels", "covered", "hit",
         "trajectory", "inner_trajectory", "violations",
     )
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self.front = {p: i for i, p in enumerate(inst.pareto_front().points)}
-        self.facts: dict[tuple[int, ...], tuple[int | None, int]] = {}
-        self.counts = [0] * len(self.front)
+        self.front = inst.pareto_front().points
+        self.facts: dict[tuple[int, ...], tuple[bool, int]] = {}
         self.levels = [0] * (inst.m // 2 + 1)
         self.covered = 0
         self.hit: int | None = None
@@ -170,27 +171,22 @@ class _CoverageTracker:
         if facts is None:
             k = self.inst.k  # None on every kind but mojzj
             level = sum(min(a, b) >= 2 * k for a, b in zip(obj[::2], obj[1::2])) if k else 0
-            facts = self.facts[obj] = (self.front.get(obj), level)
-        i, level = facts
+            facts = self.facts[obj] = (obj in self.front, level)
+        on_front, level = facts
         self.levels[level] += 1
-        if i is not None:
-            self.counts[i] += 1
-            if self.counts[i] == 1:
-                self.covered += 1
+        self.covered += on_front
 
     def remove(self, obj: tuple[int, ...]) -> None:
-        i, level = self.facts[obj]
+        on_front, level = self.facts[obj]
         self.levels[level] -= 1
-        if i is not None:
-            self.counts[i] -= 1
-            if self.counts[i] == 0:
-                self.covered -= 1
-                self.violations += 1
+        if on_front:
+            self.covered -= 1
+            self.violations += 1
 
     def record(self, iteration: int) -> None:
         if not self.trajectory or self.trajectory[-1][1] != self.covered:
             self.trajectory.append((iteration, self.covered))
-            if self.hit is None and self.covered == len(self.counts):
+            if self.hit is None and self.covered == len(self.front):
                 self.hit = iteration
         if self.inst.kind == "mojzj":
             levels = self.levels
@@ -289,14 +285,13 @@ def gsemo_run(
     inst: ProblemInstance,
     cfg: AlgorithmConfig,
     rng: np.random.Generator | None = None,
-    verify_antichain_every: int = 0,
 ) -> RunRecord:
     """Archive-style baseline: single random start, offspring kept iff not
     dominated, weakly dominated members dropped; population stays an antichain.
 
-    ``verify_antichain_every`` > 0 additionally checks pairwise incomparability
-    every that many iterations (a redundant structural self-check; violations
-    are counted in the record).
+    Each change of the archive's vector set re-checks pairwise
+    incomparability independently of the acceptance step, and
+    ``antichain_violations`` sums the comparable pairs found.
     """
     if cfg.algo != "gsemo":
         raise ValueError(f"config requests {cfg.algo!r}, not gsemo")
@@ -318,32 +313,35 @@ def gsemo_run(
     cov.record(0)
     max_pop = 1
     antichain_violations = 0
-    # the archive's vector set changes seldom and never returns to an
-    # earlier one, so the last set checked and its count make the cache
-    checked, checked_pairs = frozenset(), 0
+    stop = cfg.stop_at_coverage
+    if stop and cov.hit is not None:
+        max_iters = 0  # the start covers the front
 
     iterations = 0
     for t_iter in range(1, max_iters + 1):
-        if cov.hit is not None and cfg.stop_at_coverage:
-            break
         iterations = t_iter
         parent = list(archive.values())[uniform_below(rng, len(archive))]
         child = cfg.mutation.mutate_mask(parent, n, rng)
         cobj = inst.evaluate_mask(child)
-        if not any(dominates(p, cobj) for p in archive):
-            # added before the removals, so a replaced equal vector is no loss
-            cov.add(cobj)
-            for p in [p for p in archive if weakly_dominates(cobj, p)]:
-                del archive[p]
+        if any(dominates(p, cobj) for p in archive):
+            continue
+        born = cobj not in archive
+        dead = [p for p in archive if p != cobj and weakly_dominates(cobj, p)]
+        for p in dead:
+            del archive[p]
+        # an equal member's genome is replaced and moves last
+        archive.pop(cobj, None)
+        archive[cobj] = child
+        if born or dead:
+            if born:
+                cov.add(cobj)
+            for p in dead:
                 cov.remove(p)
-            archive[cobj] = child
             max_pop = max(max_pop, len(archive))
-        if verify_antichain_every and t_iter % verify_antichain_every == 0:
-            vectors = frozenset(archive)
-            if vectors != checked:
-                checked, checked_pairs = vectors, _comparable_pairs(list(archive))
-            antichain_violations += checked_pairs
-        cov.record(t_iter)
+            antichain_violations += _comparable_pairs(list(archive))
+            cov.record(t_iter)
+            if stop and cov.hit is not None:
+                break
 
     return RunRecord(
         seed=cfg.seed,

@@ -80,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--update", choices=["standard", "stochastic"], default="standard")
     run_p.add_argument(
         "--refpoint", default=None,
-        help="hypervolume reference point as comma-separated ints (default all -1)",
+        help=(
+            "hypervolume reference point as comma-separated ints (default all -1); "
+            "write it as --refpoint=-2,-2, since argparse takes a bare -2,-2 for a flag"
+        ),
     )
     run_p.add_argument("--reps", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=0, help="master seed")

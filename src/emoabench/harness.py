@@ -173,32 +173,34 @@ def run_experiment(
 ) -> tuple[list[ResultRow], tuple[BoundRow, ...] | None]:
     """Execute all repetitions (in parallel), optionally writing CSV rows
     incrementally, and build the bound report if requested.  One job runs
-    the repetitions in this process."""
+    the repetitions in this process, and no more workers start than there
+    are repetitions.  The CSV is created with the first row, so a run that
+    fails before it leaves no file."""
     if jobs is None:
-        jobs = min(os.cpu_count() or 1, spec.repetitions)
+        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, spec.repetitions)
     # every row shares the spec's problem and one config carrying the
-    # master seed, which with the repetition index seeds each stream; the
-    # config checks the seed before any CSV is opened
+    # master seed, which with the repetition index seeds each stream
     cfg = replace(spec.config, seed=spec.master_seed)
     args = [(spec.problem, cfg, rep) for rep in range(spec.repetitions)]
     rows: list[ResultRow] = []
     with ExitStack() as stack:
-        fh = writer = None
-        if spec.out is not None:
-            fh = stack.enter_context(open(spec.out, "w", newline=""))
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
         if jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             results = pool.map(_one_rep, args)
         else:
             results = map(_one_rep, args)
+        fh = writer = None
         for result in results:
             row = ResultRow(spec.problem, cfg, *result)
             rows.append(row)
-            if writer is not None:
+            if spec.out is not None:
+                if writer is None:
+                    fh = stack.enter_context(open(spec.out, "w", newline=""))
+                    writer = csv.writer(fh)
+                    writer.writerow(CSV_HEADER)
                 writer.writerow(row.as_csv())
                 fh.flush()
     report = build_bound_report(spec, rows) if spec.bound_report else None

@@ -263,8 +263,8 @@ def reference_gsemo_run(
     plainly: the archive is a list of (genome, vector) pairs, and coverage,
     losses, the hitting time and the best inner level are recounted from the
     whole archive after every iteration, with inner levels taken from the
-    genomes.  From the same RNG stream it must return an equal record
-    (without the optional antichain self-check)."""
+    genomes.  From the same RNG stream it must return an equal record; it
+    counts no antichain violations, so a correct run reads 0 on both sides."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = inst.n

@@ -302,7 +302,7 @@ def test_criterion_12_gsemo_antichain_and_bound():
             algo="gsemo", seed=seed, max_iterations=SURVIVAL_ITERS,
             stop_at_coverage=False,
         )
-        rec = gsemo_run(inst, cfg, verify_antichain_every=1)
+        rec = gsemo_run(inst, cfg)
         max_pop = max(max_pop, rec.max_population_size)
         antichain_violations += rec.antichain_violations
 

@@ -209,8 +209,14 @@ class TestGsemoRun:
         assert rec.max_population_size <= 25
 
     def test_antichain_self_check(self):
-        rec = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=1), verify_antichain_every=10)
+        rec = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=1))
         assert rec.antichain_violations == 0
+
+    def test_antichain_self_check_catches_a_broken_acceptance_step(self, monkeypatch):
+        # an acceptance step that drops no member keeps dominated ones
+        monkeypatch.setattr(algorithms, "weakly_dominates", lambda u, v: False)
+        c = cfg(algo="gsemo", seed=0, max_iterations=2000, stop_at_coverage=False)
+        assert gsemo_run(MOJZJ8, c).antichain_violations > 0
 
     def test_evaluation_accounting(self):
         rec = gsemo_run(MOJZJ8, cfg(algo="gsemo", seed=2))
@@ -341,15 +347,21 @@ class TestCoverageTracker:
             violations, hit, traj, inner = 0, None, [], []
             for t in range(300):
                 for _ in range(int(rng.integers(1, 4))):
+                    # the tracker counts distinct vectors: it sees a
+                    # vector's first holder arrive and its last one leave
                     if len(pop) > 1 and (len(pop) >= 24 or rng.random() < 0.3):
-                        cov.remove(inst.evaluate_mask(pop.pop(int(rng.integers(len(pop))))))
+                        obj = inst.evaluate_mask(pop.pop(int(rng.integers(len(pop)))))
+                        if obj not in {inst.evaluate_mask(x) for x in pop}:
+                            cov.remove(obj)
                     else:
                         # a random density per block makes extreme blocks likely
                         density = np.repeat(rng.random(inst.m // 2), inst.nprime)
                         bits = np.flatnonzero(rng.random(inst.n) < density)
                         mask = sum(1 << int(b) for b in bits)
+                        obj = inst.evaluate_mask(mask)
+                        if obj not in {inst.evaluate_mask(x) for x in pop}:
+                            cov.add(obj)
                         pop.append(mask)
-                        cov.add(inst.evaluate_mask(mask))
                     now = {inst.evaluate_mask(x) for x in pop} & front
                     violations += len(covered - now)
                     covered = now

@@ -158,6 +158,16 @@ class TestRun:
         assert code == 1
         assert "reference point" in capsys.readouterr().err
 
+    def test_failed_run_creates_no_csv(self, tmp_path, capsys):
+        # the selector rejects these points in the first repetition, before
+        # any row is ready
+        out = tmp_path / "rows.csv"
+        for point in ("0,0", "-2,-2,-2"):
+            code = run_cli("run", "--problem", "omm:n=6", f"--refpoint={point}", "--out", str(out))
+            assert code == 1
+            assert "reference point" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text(

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from emoabench import harness
 from emoabench.algorithms import AlgorithmConfig
 from emoabench.benchmarks import ProblemInstance
 from emoabench.bounds import bound_value
@@ -148,6 +149,32 @@ class TestRunExperiment:
             assert rows[0].config == replace(base, seed=11)
             assert [row.rep for row in rows] == [0, 1, 2, 3]
         assert strip_seconds(tmp_path / "jobs1.csv") == strip_seconds(tmp_path / "jobs2.csv")
+
+    def test_pool_has_no_more_workers_than_repetitions(self, monkeypatch):
+        # a stand-in executor that records its size and maps in this
+        # process, so the test starts no worker
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        rows, _ = run_experiment(ExperimentSpec(OMM20, cfg(), 2, 3), jobs=500)
+        assert sizes == [2]
+        assert [row.rep for row in rows] == [0, 1]
+        # a single repetition runs in this process
+        run_experiment(ExperimentSpec(OMM20, cfg(), 1, 3), jobs=500)
+        assert sizes == [2]
 
     def test_negative_master_seed_rejected_before_the_csv(self, tmp_path):
         out = tmp_path / "runs.csv"
