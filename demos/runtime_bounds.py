@@ -12,11 +12,11 @@ from emoabench import (
     AlgorithmConfig,
     ExperimentSpec,
     ProblemInstance,
-    auto_mu,
     bound_value,
     run_experiment,
     summarize,
 )
+from emoabench.algorithms import run_limits
 from emoabench.harness import applicable_theorems
 
 
@@ -26,7 +26,7 @@ def run_case(name: str, inst: ProblemInstance, cfg: AlgorithmConfig,
         ExperimentSpec(problem=inst, config=cfg, repetitions=reps,
                        master_seed=2024))
     s = summarize(rows)
-    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
+    mu, _ = run_limits(inst, cfg)
     line = (f"{name:<14} mu={mu:<3} reps={reps:<4} "
             f"mean={s.mean_iterations:9.1f} +-{s.ci_half_width:7.1f}")
     for theorem in applicable_theorems(inst, cfg):

@@ -106,16 +106,22 @@ def auto_mu(inst: ProblemInstance, update: str = "standard") -> int:
     return base if update == "standard" else 2 * base + 1
 
 
-def default_max_iterations(inst: ProblemInstance, theorem: str, mu: int) -> int:
-    """100x the closed-form bound of ``theorem`` ("sms", "spu" or "gsemo")
-    at population size mu.  omm and lotz use their own bound whatever the
-    theorem, and momm uses that of its gap-1 relative mojzj(n, m, 1)."""
+def run_limits(inst: ProblemInstance, cfg: AlgorithmConfig) -> tuple[int, int]:
+    """(mu, iteration cap) of a run: the config's values, else auto mu and
+    100x the closed-form bound of the run's theorem at that mu ("gsemo",
+    else "spu" for the stochastic update and "sms").  omm and lotz use their
+    own bound whatever the theorem (GSEMO's at its auto mu n+1), and momm
+    uses that of its gap-1 relative mojzj(n, m, 1)."""
+    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
+    if cfg.max_iterations is not None:
+        return mu, cfg.max_iterations
     if inst.kind in ("omm", "lotz"):
         value = bounds.bound_value(inst.kind, inst, mu)
     else:
+        theorem = "gsemo" if cfg.algo == "gsemo" else "spu" if cfg.update == "stochastic" else "sms"
         ref = inst if inst.kind == "mojzj" else ProblemInstance.mojzj(inst.n, inst.m, 1)
         value = bounds.bound_value(theorem, ref, mu)
-    return max(1, int(100 * value))
+    return mu, max(1, int(100 * value))
 
 
 def _random_masks(n: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -207,8 +213,8 @@ def sms_emoa_run(
         raise ValueError(f"config requests {cfg.algo!r}, not sms_emoa")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    mu, max_iters = run_limits(inst, cfg)
     needed = auto_mu(inst, cfg.update)
-    mu = cfg.mu if cfg.mu is not None else needed
     if mu < needed:
         warnings.warn(
             f"mu={mu} is below the survival-guarantee regime (>= {needed} for "
@@ -216,11 +222,6 @@ def sms_emoa_run(
             stacklevel=2,
         )
     stochastic = cfg.update == "stochastic"
-    max_iters = (
-        cfg.max_iterations
-        if cfg.max_iterations is not None
-        else default_max_iterations(inst, "spu" if stochastic else "sms", mu)
-    )
     n = inst.n
     r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
 
@@ -297,12 +298,7 @@ def gsemo_run(
         raise ValueError(f"config requests {cfg.algo!r}, not gsemo")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    max_iters = (
-        cfg.max_iterations
-        if cfg.max_iterations is not None
-        # for gsemo the per-iteration structure matches the mu = n+1 case
-        else default_max_iterations(inst, "gsemo", inst.n + 1)
-    )
+    _, max_iters = run_limits(inst, cfg)
     n = inst.n
     cov = _CoverageTracker(inst)
 

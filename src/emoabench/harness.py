@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds
-from .algorithms import AlgorithmConfig, RunRecord, auto_mu, gsemo_run, sms_emoa_run
+from .algorithms import AlgorithmConfig, RunRecord, gsemo_run, run_limits, sms_emoa_run
 from .benchmarks import ProblemInstance
 
 CSV_HEADER = [
@@ -156,7 +156,7 @@ def build_bound_report(
 ) -> tuple[BoundRow, ...]:
     summary = summarize(rows)
     inst, cfg = spec.problem, spec.config
-    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
+    mu, _ = run_limits(inst, cfg)
     out = []
     for theorem in applicable_theorems(inst, cfg):
         b = bounds.bound_value(theorem, inst, mu)
@@ -175,11 +175,14 @@ def run_experiment(
     incrementally, and build the bound report if requested.  One job runs
     the repetitions in this process, and no more workers start than there
     are repetitions.  The CSV is created with the first row, so a run that
-    fails before it leaves no file."""
+    fails before it leaves no file; an output path in a missing directory
+    fails before any repetition runs."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if spec.out is not None and not spec.out.parent.is_dir():
+        raise FileNotFoundError(f"{spec.out}: no such directory {spec.out.parent}")
     jobs = min(jobs, spec.repetitions)
     # every row shares the spec's problem and one config carrying the
     # master seed, which with the repetition index seeds each stream

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig, RunRecord, auto_mu, default_max_iterations
+from .algorithms import AlgorithmConfig, RunRecord, run_limits
 from .benchmarks import (
     FrontDescriptor,
     ProblemInstance,
@@ -197,10 +197,7 @@ def reference_sms_emoa_run(
         rng = np.random.default_rng(cfg.seed)
     n = inst.n
     stochastic = cfg.update == "stochastic"
-    mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
-    max_iters = cfg.max_iterations or default_max_iterations(
-        inst, "spu" if stochastic else "sms", mu
-    )
+    mu, max_iters = run_limits(inst, cfg)
     r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
     front = inst.pareto_front().points
     slots = []
@@ -268,7 +265,7 @@ def reference_gsemo_run(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = inst.n
-    max_iters = cfg.max_iterations or default_max_iterations(inst, "gsemo", n + 1)
+    _, max_iters = run_limits(inst, cfg)
     front = inst.pareto_front().points
     start = _random_genome(n, rng)
     archive = [(start, inst.evaluate_mask(start))]

@@ -13,18 +13,17 @@ The selector keys its dominance index by distinct objective vector: a
 population of many slots often holds far fewer vectors, most offspring
 repeat a vector already present, and most removals leave their vector
 present.  Such an offspring or removal only flips one slot bit.  Each
-distinct vector is entered once per run, at the cost of one pass over the
-value tables, and keeps its id; this relies on the problem having few
-vectors, which bound the ids: (n'+1)^(m/2) for mojzj and momm with block
-length n' = 2n/m, n+1 for omm and at most (n+1)(n+2)/2 for lotz.  A mask
-of strictly dominated vectors lets the last-front peel return at once on
-an antichain.
+distinct vector is entered once per run, at the cost of one prefix sum over
+each objective's value table, and keeps its id; the population itself
+enters the same way when the selector is built.  This relies on the
+problem having few vectors, which bound the ids: (n'+1)^(m/2) for mojzj
+and momm with block length n' = 2n/m, n+1 for omm and at most
+(n+1)(n+2)/2 for lotz.  A mask of strictly dominated vectors lets the
+last-front peel return at once on an antichain.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,21 +127,24 @@ class SteadyStateSelector:
     vector count (see the module docstring), not by the run length.
 
     All other sets are plain-int id bitmasks over live and dead ids alike.
-    ``le[c][v]`` (``ge[c][v]``) holds the ids whose coordinate c is <= v
-    (>= v), so the AND of m entries gives the ids weakly above or below a
-    vector; objectives must be non-negative integers to index them.
-    ``strict[i]`` holds the ids strictly dominating id i and ``dominated``
-    the ids with any strict dominator; the peel masks both with the ids it
-    considers.  ``dup_mask``, a slot mask, holds the population slots whose
-    vector some other population slot shares.  An offspring whose vector
-    is indexed only sets its slot bit; a new vector sets its id's bit in
-    the value tables and in the strict entry of each id it strictly
-    dominates, and no existing bit ever changes.
+    ``at[c][v]`` holds the ids whose coordinate c equals v; objectives must
+    be non-negative integers to index it.  ``strict[i]`` holds the ids
+    strictly dominating id i and ``dominated`` the ids with any strict
+    dominator; the peel masks both with the ids it considers.
+    ``dup_mask``, a slot mask, holds the population slots whose vector some
+    other population slot shares.  An offspring whose vector is indexed
+    only sets its slot bit.  A new vector sums, per coordinate c, the
+    entries of ``at[c]`` below its value v: the ids below it there, and
+    with ``at[c][v]`` the ids at most v.  The AND over m coordinates gives
+    the ids weakly below and weakly above it, from which it sets its id's
+    bit in one entry per value table and in the strict entry of each id it
+    strictly dominates; no existing bit ever changes.  The constructor
+    enters the members, slot by slot, through this same code.
     """
 
     __slots__ = (
-        "r", "ids", "vecs", "slots", "vid", "live", "le", "ge", "strict", "dominated",
-        "dup_mask", "free"
+        "r", "ids", "vecs", "slots", "vid", "live", "at", "strict", "dominated", "dup_mask",
+        "free"
     )
 
     def __init__(self, members: Sequence[ObjectiveVector], r: ReferencePoint):
@@ -151,41 +153,18 @@ class SteadyStateSelector:
         if len(r) != len(members[0]) or max(r) >= 0:
             raise ValueError(f"reference point {r} needs one negative coordinate per objective")
         self.r = r
-        self.free = len(members)
         self.ids: dict[ObjectiveVector, int] = {}
-        # the free slot's entry is written by set_offspring
-        self.vid = [self.ids.setdefault(t, len(self.ids)) for t in members] + [0]
-        self.vecs = list(self.ids)
-        for t in self.vecs:
-            _check_vector(t, len(r))
-        self.slots = [0] * len(self.vecs)
-        for s, i in enumerate(self.vid[: self.free]):
-            self.slots[i] |= 1 << s
-        self.live = (1 << len(self.vecs)) - 1
-        self.dup_mask = sum(held for held in self.slots if held & (held - 1))
-        self.le: list[list[int]] = []
-        self.ge: list[list[int]] = []
-        for column in zip(*self.vecs):
-            at = [0] * (max(column) + 1)
-            for i, v in enumerate(column):
-                at[v] |= 1 << i
-            self.le.append(list(accumulate(at, or_)))
-            self.ge.append(list(accumulate(reversed(at), or_))[::-1])
-        self.strict = [0] * len(self.vecs)
-        self.dominated = 0
-        for i, t in enumerate(self.vecs):
-            above, below = self._cones(t)
-            self.strict[i] = above & ~below
-            if self.strict[i]:
-                self.dominated |= 1 << i
-
-    def _cones(self, obj: ObjectiveVector) -> tuple[int, int]:
-        """(ids weakly dominating obj, ids weakly dominated by obj)."""
-        above = below = (1 << len(self.vecs)) - 1
-        for le_c, ge_c, v in zip(self.le, self.ge, obj):
-            above &= ge_c[v]
-            below &= le_c[v]
-        return above, below
+        self.vecs: list[ObjectiveVector] = []
+        self.slots: list[int] = []
+        self.vid = [0] * (len(members) + 1)
+        self.live = self.dominated = self.dup_mask = 0
+        self.at: list[list[int]] = [[] for _ in r]
+        self.strict: list[int] = []
+        # each member enters its slot as an offspring would
+        for s, t in enumerate(members):
+            self.free = s
+            self._enter(t)
+        self.free = len(members)
 
     def set_offspring(self, obj: ObjectiveVector) -> bool:
         """Install the offspring objective vector in the free slot; return
@@ -212,13 +191,16 @@ class SteadyStateSelector:
         self.slots.append(slot_bit)
         self.vid[slot] = i
         self.live |= bit
-        for le_c, ge_c, v in zip(self.le, self.ge, obj):
-            if v >= len(le_c):  # no id lies above the table yet
-                le_c.extend([le_c[-1]] * (v + 1 - len(le_c)))
-                ge_c.extend([0] * (v + 1 - len(ge_c)))
-            le_c[v:] = [mask | bit for mask in le_c[v:]]
-            ge_c[: v + 1] = [mask | bit for mask in ge_c[: v + 1]]
-        above, below = self._cones(obj)
+        # each id sits in one entry of a column, so the sum of the entries
+        # below v is their OR: the ids whose coordinate is < v
+        above = below = bit - 1
+        for at_c, v in zip(self.at, obj):
+            if v >= len(at_c):
+                at_c.extend([0] * (v + 1 - len(at_c)))
+            lower = sum(at_c[:v])
+            below &= lower | at_c[v]
+            above &= ~lower
+            at_c[v] |= bit
         strict = above & ~below
         self.strict.append(strict)
         gained = below & ~above
@@ -226,6 +208,9 @@ class SteadyStateSelector:
             self.strict[j] |= bit
         self.dominated |= gained | (bit if strict else 0)
         return True
+
+    # the constructor's way in, which a wrapper of the public name skips
+    _enter = set_offspring
 
     def _last_front(self, alive: int) -> int:
         # only ids with some strict dominator can fall behind the first

@@ -14,8 +14,8 @@ from emoabench.algorithms import (
     _CoverageTracker,
     _random_masks,
     auto_mu,
-    default_max_iterations,
     gsemo_run,
+    run_limits,
     sms_emoa_run,
 )
 from emoabench.benchmarks import ProblemInstance, inner_level
@@ -63,7 +63,7 @@ class TestConfig:
         import math
 
         bound = 2 * math.e * 21 * 20 * (math.log(20) + 1)
-        assert default_max_iterations(inst, "sms", 21) == int(100 * bound)
+        assert run_limits(inst, cfg()) == (21, int(100 * bound))
 
     def test_auto_cap_of_each_run(self):
         # momm takes the bound of its gap-1 relative, gsemo on omm the
@@ -72,10 +72,10 @@ class TestConfig:
             pass
 
         caps = []
-        real = default_max_iterations
+        real = run_limits
 
         def spy(*args):
-            caps.append(real(*args))
+            caps.append(real(*args)[1])
             raise Capped
 
         momm, omm = ProblemInstance.momm(8, 4), ProblemInstance.oneminmax(10)
@@ -86,7 +86,7 @@ class TestConfig:
             (gsemo_run, omm, cfg(algo="gsemo")),
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(algorithms, "default_max_iterations", spy)
+            mp.setattr(algorithms, "run_limits", spy)
             for run, inst, c in runs:
                 with pytest.raises(Capped), warnings.catch_warnings():
                     warnings.simplefilter("ignore")

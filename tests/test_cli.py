@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import emoabench
-from emoabench import cli
+from emoabench import cli, harness
 from emoabench.cli import main
 
 
@@ -167,6 +167,26 @@ class TestRun:
             assert code == 1
             assert "reference point" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_missing_out_directory_fails_before_any_repetition(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        reps = []
+        real = harness._one_rep
+
+        def counted(args):
+            reps.append(args[2])
+            return real(args)
+
+        monkeypatch.setattr(harness, "_one_rep", counted)
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli(
+            "run", "--problem", "mojzj:n=12,m=4,k=2", "--reps", "2", "--jobs", "1",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
+        assert reps == [] and not out.parent.exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -59,10 +59,9 @@ def assert_index_definitions(sel, members):
     assert sel.slots == held
     assert sel.live == sum(1 << i for i in ids if held[i])
     for c in range(len(sel.r)):
-        width = len(sel.le[c])
-        assert len(sel.ge[c]) == width > max(v[c] for v in vecs)
-        assert sel.le[c] == [sum(1 << i for i in ids if vecs[i][c] <= v) for v in range(width)]
-        assert sel.ge[c] == [sum(1 << i for i in ids if vecs[i][c] >= v) for v in range(width)]
+        width = len(sel.at[c])
+        assert width > max(v[c] for v in vecs)
+        assert sel.at[c] == [sum(1 << i for i in ids if vecs[i][c] == v) for v in range(width)]
     strict = [sum(1 << i for i, u in enumerate(vecs) if dominates(u, t)) for t in vecs]
     assert sel.strict == strict
     assert sel.dominated == sum(1 << i for i, col in enumerate(strict) if col)
@@ -83,7 +82,7 @@ def live_index(sel, width):
         {vecs[i]: sel.slots[i] for i in live},
         {vecs[i]: named(sel.strict[i]) for i in live},
         {vecs[i] for i in live if sel.strict[i] & sel.live},
-        [[named(mask) for mask in table[:w]] for table, w in zip(sel.le + sel.ge, width * 2)],
+        [[named(mask) for mask in table[:w]] for table, w in zip(sel.at, width)],
         sel.dup_mask,
     )
 
@@ -318,7 +317,7 @@ class TestSteadyStateSelector:
                 # ids may be numbered differently, and a grown table may
                 # keep entries past the current maximum
                 fresh = SteadyStateSelector(slot_vectors(sel), sel.r)
-                width = [len(col) for col in fresh.le]
+                width = [len(col) for col in fresh.at]
                 assert live_index(sel, width) == live_index(fresh, width)
                 removed = sel.choose_removal(rng)
                 vector = slot_vectors(sel)[removed]
@@ -340,7 +339,7 @@ class TestSteadyStateSelector:
         assert (sel.live, sel.dup_mask) == (0b011, 0b110)
 
         def tables():
-            return [list(col) for col in sel.le + sel.ge], list(sel.strict), sel.dominated
+            return [list(col) for col in sel.at], list(sel.strict), sel.dominated
 
         before = tables()
         assert sel.set_offspring((0, 2)) is False  # a live vector gains a slot
@@ -351,7 +350,7 @@ class TestSteadyStateSelector:
         assert sel.set_offspring((3, 0)) is True  # a new vector takes id len(vecs), not a dead id
         assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0)] and sel.vid[0] == 3
         assert sel.ids[(1, 1)] == 0 and sel.ids[(2, 0)] == 2  # dead ids keep their vectors
-        assert len(sel.le[0]) == len(sel.ge[0]) == 4  # coordinate 3 grows the tables
+        assert len(sel.at[0]) == 4  # coordinate 3 grows the tables
         assert sel.dominated == 0b0100  # the dead (2, 0) gains a strict dominator
         assert_index_definitions(sel, 0b1111)
 
@@ -374,6 +373,26 @@ class TestSteadyStateSelector:
             assert sel.choose_removal(np.random.default_rng(s)) == select_removal_index(
                 arr, r, np.random.default_rng(s)
             )
+
+    def test_construction_makes_no_public_insert(self, monkeypatch):
+        # a tracer of set_offspring counts one call per iteration, so the
+        # constructor enters its members, duplicates too, another way
+        calls = []
+        real = SteadyStateSelector.set_offspring
+
+        def counted(self, obj):
+            calls.append(obj)
+            return real(self, obj)
+
+        monkeypatch.setattr(SteadyStateSelector, "set_offspring", counted)
+        sel = SteadyStateSelector([(0, 2), (1, 1), (0, 2), (2, 0), (1, 1)], (-1, -1))
+        assert calls == []
+        rng = np.random.default_rng(0)
+        offspring = [(3, 0), (0, 2), (1, 1), (0, 4)]
+        for k, obj in enumerate(offspring, 1):
+            sel.set_offspring(obj)
+            assert calls == offspring[:k]
+            sel.commit_removal(sel.choose_removal(rng))
 
     def test_owns_the_slot_vectors(self):
         # the caller's list is neither kept nor written: the selector is the
