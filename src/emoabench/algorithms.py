@@ -11,19 +11,28 @@ tracker only on vector births and deaths (most offspring repeat a vector
 already present, and most removals leave theirs present).  SMS-EMOA's
 selector reports them; GSEMO's archive is one dict from vector to genome, so
 a birth is a child whose vector it lacks and a death a dropped member.
+
+What depends on a vector alone is computed once per problem per process:
+``_problem_memo`` keeps, for each ``ProblemInstance`` a run has met, the
+selector's :class:`~emoabench.selection.ValueIndex` and the tracker's
+per-vector facts, and every later run on that problem reuses them.  The
+memo lives as long as the process (a pool worker's, for the harness); per
+problem it holds at most one entry per vector of the problem, a number the
+selection module bounds, whatever the runs' count or length.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import bounds
 from .benchmarks import ProblemInstance
 from .core import dominates, weakly_dominates
-from .selection import SteadyStateSelector, default_reference_point
+from .selection import SteadyStateSelector, ValueIndex, default_reference_point
 from .variation import MutationOperator, uniform_below
 
 
@@ -81,8 +90,11 @@ class RunRecord:
     the population.  A front vector first reached by an offspring that is
     removed in its own iteration counts too, although no iteration ended
     with it covered: omm n=8 at mu=3 (2000 iterations, seed 0) reads 981,
-    of which 140 are values held at an iteration's end.  At auto mu no such
-    removal occurs.
+    of which 140 are values held at an iteration's end.  Under the standard
+    update at auto mu no covered vector is lost.  Under the stochastic
+    update auto mu does not prevent losses: omm n=8 at mu=19 (seeds 0-9,
+    5000 iterations each, no stop at coverage) reads 274 in total, 2 of
+    them own-iteration removals.
 
     ``antichain_violations`` (GSEMO only) sums, over every vector set the
     archive takes, the pairs of its vectors in which one weakly dominates
@@ -140,6 +152,17 @@ def _random_masks(n: int, count: int, rng: np.random.Generator) -> list[int]:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _problem_memo(
+    inst: ProblemInstance,
+) -> tuple[ValueIndex, dict[tuple[int, ...], tuple[bool, int]]]:
+    """The value index and the per-vector facts of ``inst``, shared by every
+    run on it in this process.  Both depend on the vector alone, so a run
+    that finds them filled by other runs decides exactly as with empty ones.
+    """
+    return ValueIndex(inst.m), {}
+
+
 class _CoverageTracker:
     """Every per-vector fact of a run: front coverage, its losses, the first
     iteration of full coverage (``hit``) and, on mojzj, the best inner level.
@@ -149,7 +172,8 @@ class _CoverageTracker:
     distinct vectors.  ``record`` appends to a trajectory only when its value
     changed; the runs call it only after an add or a remove.
 
-    ``facts`` maps each vector seen to (on the front, inner level).  A mojzj
+    ``facts`` maps each vector seen to (on the front, inner level); it is
+    the problem's shared dict from ``_problem_memo``.  A mojzj
     block is at an inner ones-count c in [k..n'-k] exactly when both values
     of its pair (k+c, k+n'-c) are >= 2k: an all-zero or all-one block has a
     value of k, a block in the gap one below k.  Other kinds put every
@@ -164,7 +188,7 @@ class _CoverageTracker:
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self.front = inst.pareto_front().points
-        self.facts: dict[tuple[int, ...], tuple[bool, int]] = {}
+        self.facts = _problem_memo(inst)[1]
         self.levels = [0] * (inst.m // 2 + 1)
         self.covered = 0
         self.hit: int | None = None
@@ -234,7 +258,7 @@ def sms_emoa_run(
         cov.add(t)
     cov.record(0)
 
-    selector = SteadyStateSelector(members, r)
+    selector = SteadyStateSelector(members, r, _problem_memo(inst)[0])
     evaluate = inst.evaluate_mask
     mutate = cfg.mutation.mutate_mask
     stop = cfg.stop_at_coverage

@@ -12,18 +12,23 @@ be evaluated.
 The selector keys its dominance index by distinct objective vector: a
 population of many slots often holds far fewer vectors, most offspring
 repeat a vector already present, and most removals leave their vector
-present.  Such an offspring or removal only flips one slot bit.  Each
-distinct vector is entered once per run, at the cost of one prefix sum over
-each objective's value table, and keeps its id; the population itself
-enters the same way when the selector is built.  This relies on the
-problem having few vectors, which bound the ids: (n'+1)^(m/2) for mojzj
-and momm with block length n' = 2n/m, n+1 for omm and at most
-(n+1)(n+2)/2 for lotz.  A mask of strictly dominated vectors lets the
-last-front peel return at once on an antichain.
+present.  Such an offspring or removal changes only slot state.  The
+value-level half, :class:`ValueIndex`, knows nothing of a population, so
+every selector on one problem can share one, and the run loop keeps one
+per problem per process: each distinct vector is entered once per problem
+per process, at the cost of one prefix sum over each objective's value
+table, and keeps its id; a selector's population enters the same way when
+it is built.  This relies on the problem having few vectors, which bound
+the ids: (n'+1)^(m/2) for mojzj and momm with block length n' = 2n/m, n+1
+for omm and at most (n+1)(n+2)/2 for lotz.  A mask of strictly dominated
+vectors lets the last-front peel return at once on an antichain, and a
+sorted list of the duplicated slots, ``dups``, lets the duplicate shortcut
+pick its slot with one draw and one list index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,94 +108,43 @@ def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoin
     return [i for i, c in enumerate(contribs) if c == best]
 
 
-class SteadyStateSelector:
-    """Incremental survivor selection for the steady-state loop.
+class ValueIndex:
+    """Dominance index over the distinct objective vectors of one problem.
 
-    Built from the mu population vectors, the selector is the one record of
-    each slot's vector: slot mu starts free, :meth:`set_offspring` fills the
-    free slot, and :meth:`commit_removal` frees a slot.  Both report when
-    the population's vector set changes, so a caller keeping per-vector
-    facts need act only then: ``set_offspring`` returns True on a birth (no
-    slot held the vector before) and ``commit_removal`` returns the vector
-    on a death (its last holder left), else None.  Decisions equal
-    :func:`emoabench.oracle.select_removal_index`'s on the same multiset and
-    RNG stream.
-
-    The dominance index is keyed by distinct objective vector.  ``ids`` maps
-    each indexed vector to its id, ``vecs[i]`` is the vector of id ``i``,
-    ``slots[i]`` the bitmask of population slots holding it and ``vid[s]``
-    the id of slot ``s``'s vector; ``live`` is the mask of ids some slot
-    holds.  A vector new to the run takes the next id, ``len(vecs)``, and
-    keeps it for the whole run.  An id whose slots have all been removed is
-    dead: its vector keeps its place in every table, so an offspring of
-    that vector revives it.  The ids are thus bounded by the problem's
-    vector count (see the module docstring), not by the run length.
-
-    All other sets are plain-int id bitmasks over live and dead ids alike.
-    ``at[c][v]`` holds the ids whose coordinate c equals v; objectives must
-    be non-negative integers to index it.  ``strict[i]`` holds the ids
-    strictly dominating id i and ``dominated`` the ids with any strict
-    dominator; the peel masks both with the ids it considers.
-    ``dup_mask``, a slot mask, holds the population slots whose vector some
-    other population slot shares.  An offspring whose vector is indexed
-    only sets its slot bit.  A new vector sums, per coordinate c, the
-    entries of ``at[c]`` below its value v: the ids below it there, and
-    with ``at[c][v]`` the ids at most v.  The AND over m coordinates gives
-    the ids weakly below and weakly above it, from which it sets its id's
-    bit in one entry per value table and in the strict entry of each id it
-    strictly dominates; no existing bit ever changes.  The constructor
-    enters the members, slot by slot, through this same code.
+    It holds only facts about vectors, never about a population, so every
+    selector on the same problem can share one: ``ids`` maps each entered
+    vector to its id, ``vecs[i]`` is the vector of id ``i``, ``at[c][v]``
+    the bitmask of the ids whose coordinate c equals v, ``strict[i]`` the
+    ids strictly dominating id ``i`` and ``dominated`` the ids with any
+    strict dominator.  A vector is entered once, takes the next id,
+    ``len(vecs)``, and keeps it; no existing bit ever changes, so the ids
+    are bounded by the problem's vector count (see the module docstring).
+    Objectives must be non-negative integers to address ``at``.
     """
 
-    __slots__ = (
-        "r", "ids", "vecs", "slots", "vid", "live", "at", "strict", "dominated", "dup_mask",
-        "free"
-    )
+    __slots__ = ("ids", "vecs", "at", "strict", "dominated")
 
-    def __init__(self, members: Sequence[ObjectiveVector], r: ReferencePoint):
-        # objectives are >= 0, so every member strictly dominates r exactly
-        # when r has one negative coordinate per objective
-        if len(r) != len(members[0]) or max(r) >= 0:
-            raise ValueError(f"reference point {r} needs one negative coordinate per objective")
-        self.r = r
+    def __init__(self, m: int):
         self.ids: dict[ObjectiveVector, int] = {}
         self.vecs: list[ObjectiveVector] = []
-        self.slots: list[int] = []
-        self.vid = [0] * (len(members) + 1)
-        self.live = self.dominated = self.dup_mask = 0
-        self.at: list[list[int]] = [[] for _ in r]
+        self.at: list[list[int]] = [[] for _ in range(m)]
         self.strict: list[int] = []
-        # each member enters its slot as an offspring would
-        for s, t in enumerate(members):
-            self.free = s
-            self._enter(t)
-        self.free = len(members)
+        self.dominated = 0
 
-    def set_offspring(self, obj: ObjectiveVector) -> bool:
-        """Install the offspring objective vector in the free slot; return
-        True iff no population slot held that vector before (a birth)."""
-        slot = self.free
-        slot_bit = 1 << slot
-        i = self.ids.get(obj)
-        if i is not None:
-            # an indexed vector, live or dead: no table changes
-            held = self.slots[i]
-            self.slots[i] = held | slot_bit
-            self.vid[slot] = i
-            if held:
-                self.dup_mask |= held | slot_bit
-                return False
-            self.live |= 1 << i
-            return True
-        _check_vector(obj, len(self.r))
-        # a vector new to this run takes the next id and keeps it
+    def enter(self, obj: ObjectiveVector) -> int:
+        """Index ``obj``, a vector not in ``ids``, and return its new id.
+
+        Per coordinate c, the entries of ``at[c]`` below its value v are the
+        ids below it there, and with ``at[c][v]`` the ids at most v; the AND
+        over m coordinates gives the ids weakly below and weakly above it.
+        It then sets its id's bit in one entry per value table and in the
+        strict entry of each id it strictly dominates.
+        """
+        _check_vector(obj, len(self.at))
         i = len(self.vecs)
         bit = 1 << i
         self.ids[obj] = i
         self.vecs.append(obj)
-        self.slots.append(slot_bit)
-        self.vid[slot] = i
-        self.live |= bit
         # each id sits in one entry of a column, so the sum of the entries
         # below v is their OR: the ids whose coordinate is < v
         above = below = bit - 1
@@ -207,6 +161,81 @@ class SteadyStateSelector:
         for j in _bits(gained):
             self.strict[j] |= bit
         self.dominated |= gained | (bit if strict else 0)
+        return i
+
+
+class SteadyStateSelector:
+    """Incremental survivor selection for the steady-state loop.
+
+    Built from the mu population vectors, the selector is the one record of
+    each slot's vector: slot mu starts free, :meth:`set_offspring` fills the
+    free slot, and :meth:`commit_removal` frees a slot.  Both report when
+    the population's vector set changes, so a caller keeping per-vector
+    facts need act only then: ``set_offspring`` returns True on a birth (no
+    slot held the vector before) and ``commit_removal`` returns the vector
+    on a death (its last holder left), else None.  Decisions equal
+    :func:`emoabench.oracle.select_removal_index`'s on the same multiset and
+    RNG stream.
+
+    Dominance comes from ``index``, a :class:`ValueIndex` that may be shared
+    with other selectors on the same problem: a vector it lacks is entered
+    there, once per index, and keeps its id.  The selector holds only the
+    run's state over those ids.  ``slots[i]`` is the bitmask of population
+    slots holding id ``i`` (the list grows when it meets an id given out
+    after it last grew), ``vid[s]`` the id of slot ``s``'s vector and
+    ``live`` the mask of ids some slot holds.  An id whose slots have all
+    been removed is dead, and an offspring of its vector revives it.  The
+    index's sets cover the ids of every selector sharing it, so the peel
+    masks them with the ids it considers.  ``dups`` lists, ascending, the
+    population slots whose vector some other population slot shares.  An
+    offspring whose vector is indexed, and a removal that leaves its vector
+    present, change only slot state.  The constructor enters the members,
+    slot by slot, through :meth:`set_offspring`'s code.
+    """
+
+    __slots__ = ("r", "index", "slots", "vid", "live", "dups", "free")
+
+    def __init__(self, members: Sequence[ObjectiveVector], r: ReferencePoint, index: ValueIndex):
+        # objectives are >= 0, so every member strictly dominates r exactly
+        # when r has one negative coordinate per objective
+        if len(r) != len(members[0]) or max(r) >= 0:
+            raise ValueError(f"reference point {r} needs one negative coordinate per objective")
+        self.r = r
+        self.index = index
+        self.slots: list[int] = []
+        self.vid = [0] * (len(members) + 1)
+        self.live = 0
+        self.dups: list[int] = []
+        # each member enters its slot as an offspring would
+        for s, t in enumerate(members):
+            self.free = s
+            self._enter(t)
+        self.free = len(members)
+
+    def set_offspring(self, obj: ObjectiveVector) -> bool:
+        """Install the offspring objective vector in the free slot; return
+        True iff no population slot held that vector before (a birth)."""
+        slot = self.free
+        index = self.index
+        i = index.ids.get(obj)
+        if i is None:
+            i = index.enter(obj)
+        try:
+            held = self.slots[i]
+        except IndexError:
+            # an id the index gave out after this list last grew
+            self.slots.extend([0] * (len(index.vecs) - len(self.slots)))
+            held = 0
+        self.slots[i] = held | 1 << slot
+        self.vid[slot] = i
+        if held:
+            dups = self.dups
+            if not held & (held - 1):
+                # the vector's one holder becomes a duplicate too
+                insort(dups, held.bit_length() - 1)
+            insort(dups, slot)
+            return False
+        self.live |= 1 << i
         return True
 
     # the constructor's way in, which a wrapper of the public name skips
@@ -215,10 +244,10 @@ class SteadyStateSelector:
     def _last_front(self, alive: int) -> int:
         # only ids with some strict dominator can fall behind the first
         # front, so an antichain returns without a scan
-        strict = self.strict
+        strict = self.index.strict
         while True:
             behind = 0
-            for j in _bits(alive & self.dominated):
+            for j in _bits(alive & self.index.dominated):
                 if strict[j] & alive:
                     behind |= 1 << j
             if not behind:
@@ -229,11 +258,11 @@ class SteadyStateSelector:
         """Index to remove; ``eligible`` is a bitmask of sampled slots
         (None means the full combined population)."""
         if eligible is None:
-            d = self.dup_mask
-            if d and not self.live & self.dominated:
+            dups = self.dups
+            if dups and not self.live & self.index.dominated:
                 # on an antichain every slot is in the last front, and the
                 # duplicated slots are exactly the zero-contribution members
-                return _nth_set_bit(d, uniform_below(rng, d.bit_count()))
+                return dups[uniform_below(rng, len(dups))]
             held = self.slots
             last = self._last_front(self.live)
         else:
@@ -258,7 +287,8 @@ class SteadyStateSelector:
         members = _bits(single)
         if len(members) == 1:
             return members[0]
-        pick = min_contribution_indices([self.vecs[self.vid[s]] for s in members], self.r)
+        vecs = self.index.vecs
+        pick = min_contribution_indices([vecs[self.vid[s]] for s in members], self.r)
         return members[pick[uniform_below(rng, len(pick))]]
 
     def commit_removal(self, removed: int) -> ObjectiveVector | None:
@@ -268,19 +298,20 @@ class SteadyStateSelector:
         The removed vector keeps its id, dead once no slot holds it: the
         next :meth:`set_offspring` replaces exactly that slot.
         """
-        bit = 1 << removed
         i = self.vid[removed]
-        rest = self.slots[i] & ~bit
+        rest = self.slots[i] & ~(1 << removed)
         self.slots[i] = rest
-        self.dup_mask &= ~bit
         self.free = removed
-        if not rest & (rest - 1):
-            # at most one holder is left: the vector is no longer shared
-            self.dup_mask &= ~rest
-            if not rest:
-                self.live &= ~(1 << i)
-                return self.vecs[i]
-        return None
+        if rest:
+            # the vector was shared: the removed slot leaves ``dups``, and
+            # so does a last holder left alone
+            dups = self.dups
+            del dups[bisect_left(dups, removed)]
+            if not rest & (rest - 1):
+                del dups[bisect_left(dups, rest.bit_length() - 1)]
+            return None
+        self.live &= ~(1 << i)
+        return self.index.vecs[i]
 
 
 def _check_vector(obj: ObjectiveVector, m: int) -> None:

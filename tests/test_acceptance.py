@@ -23,6 +23,7 @@ from emoabench.harness import ExperimentSpec, run_experiment, summarize
 from emoabench.oracle import brute_force_front, hv_inclusion_exclusion, random_antichain
 from emoabench.selection import (
     SteadyStateSelector,
+    ValueIndex,
     default_reference_point,
     hv_contribution,
     hypervolume,
@@ -155,7 +156,7 @@ def test_criterion_05_survival_stochastic_update():
     mu = 51
     masks = [int(rng.integers(1 << 8)) for _ in range(mu + 1)]
     tuples = [inst.evaluate_mask(g) for g in masks]
-    sel = SteadyStateSelector(tuples[:-1], default_reference_point(4))
+    sel = SteadyStateSelector(tuples[:-1], default_reference_point(4), ValueIndex(4))
     sel.set_offspring(tuples[-1])
     removed_counts = np.zeros(mu + 1, dtype=np.int64)
     half = (mu + 1) // 2

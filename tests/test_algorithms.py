@@ -463,6 +463,48 @@ def golden(rec):
     )
 
 
+class TestProblemMemo:
+    """Runs on one problem share its value index and per-vector facts;
+    whatever earlier runs entered there, a run's record is the same."""
+
+    SEEDS = (0, 1, 2)
+    ITERATIONS = 400
+
+    @pytest.mark.parametrize("inst, update", [
+        (ProblemInstance.mojzj(8, 4, 2), "standard"),
+        (ProblemInstance.mojzj(8, 4, 2), "stochastic"),
+        (ProblemInstance.lotz(10), "stochastic"),
+        (ProblemInstance.mojzj(12, 6, 1), "standard"),
+    ], ids=["jump4-std", "jump4-spu", "lotz-spu", "jump6-std"])
+    def test_warm_and_cold_memos_give_the_same_runs(self, inst, update):
+        def run(seed):
+            c = cfg(update=update, seed=seed, max_iterations=self.ITERATIONS,
+                    stop_at_coverage=False)
+            return sms_emoa_run(inst, c)
+
+        memo = algorithms._problem_memo
+        cold = {}
+        for seed in self.SEEDS:
+            memo.cache_clear()
+            cold[seed] = run(seed)
+
+        def warmed(warm_up, seeds):
+            memo.cache_clear()
+            warm_up()
+            index, facts = memo(inst)
+            assert index.vecs and facts  # the runs below start warm
+            return {seed: run(seed) for seed in seeds}
+
+        # other seeds, the same seeds in reverse order, and a GSEMO run
+        assert warmed(lambda: [run(seed) for seed in (7, 8)], self.SEEDS) == cold
+        assert warmed(lambda: run(self.SEEDS[-1]), self.SEEDS[::-1]) == cold
+        gsemo = cfg(algo="gsemo", seed=5, max_iterations=self.ITERATIONS, stop_at_coverage=False)
+        memo.cache_clear()
+        gsemo_run(inst, gsemo)
+        assert memo(inst)[1]  # GSEMO fills the shared facts
+        assert {seed: run(seed) for seed in self.SEEDS} == cold
+
+
 class TestGoldenRuns:
     @pytest.mark.parametrize("seed", sorted(GOLDEN_JUMP8))
     def test_many_objective_auto_mu(self, seed):
@@ -506,3 +548,15 @@ class TestGoldenRuns:
         with pytest.warns(UserWarning, match="survival-guarantee"):
             rec = sms_emoa_run(inst, c)
         assert (rec.iterations, rec.coverage_violations) == (c.max_iterations, losses)
+
+    def test_documented_stochastic_losses_at_auto_mu(self):
+        # the count RunRecord's docstring and README cite: auto mu does not
+        # keep the stochastic update from losing covered front values
+        inst = ProblemInstance.oneminmax(8)
+        total = 0
+        for seed in range(10):
+            c = cfg(update="stochastic", seed=seed, max_iterations=5000, stop_at_coverage=False)
+            rec = sms_emoa_run(inst, c)
+            assert (rec.iterations, rec.max_population_size) == (5000, 19)
+            total += rec.coverage_violations
+        assert total == 274

@@ -13,6 +13,7 @@ from emoabench.core import dominates
 from emoabench.oracle import front_indices, select_removal_index
 from emoabench.selection import (
     SteadyStateSelector,
+    ValueIndex,
     default_reference_point,
     hv_contribution,
     hypervolume,
@@ -35,7 +36,7 @@ def half_sample(rng, size):
 
 def slot_vectors(sel):
     """The vector each slot's id stands for, free slot included."""
-    return [sel.vecs[i] for i in sel.vid]
+    return [sel.index.vecs[i] for i in sel.vid]
 
 
 def shared_slots(tuples, members):
@@ -48,31 +49,35 @@ def shared_slots(tuples, members):
 def assert_index_definitions(sel, members):
     """Every field of the value index against its definition, over live and
     dead ids alike; ``members`` is the mask of population slots."""
-    vecs = sel.vecs
+    index = sel.index
+    vecs = index.vecs
     ids = range(len(vecs))
     # one id per distinct vector
-    assert sel.ids == {v: i for i, v in enumerate(vecs)} and len(sel.ids) == len(vecs)
+    assert index.ids == {v: i for i, v in enumerate(vecs)} and len(index.ids) == len(vecs)
     held = [0] * len(vecs)
     for s, i in enumerate(sel.vid):
         if members >> s & 1:
             held[i] |= 1 << s
-    assert sel.slots == held
+    # the slot list may stop short of ids given out after it last grew
+    assert sel.slots == held[: len(sel.slots)] and not any(held[len(sel.slots) :])
     assert sel.live == sum(1 << i for i in ids if held[i])
     for c in range(len(sel.r)):
-        width = len(sel.at[c])
+        width = len(index.at[c])
         assert width > max(v[c] for v in vecs)
-        assert sel.at[c] == [sum(1 << i for i in ids if vecs[i][c] == v) for v in range(width)]
+        assert index.at[c] == [sum(1 << i for i in ids if vecs[i][c] == v) for v in range(width)]
     strict = [sum(1 << i for i, u in enumerate(vecs) if dominates(u, t)) for t in vecs]
-    assert sel.strict == strict
-    assert sel.dominated == sum(1 << i for i, col in enumerate(strict) if col)
-    assert sel.dup_mask == shared_slots(slot_vectors(sel), members)
+    assert index.strict == strict
+    assert index.dominated == sum(1 << i for i, col in enumerate(strict) if col)
+    assert sel.dups == sorted(sel.dups)
+    assert sum(1 << s for s in sel.dups) == shared_slots(slot_vectors(sel), members)
 
 
 def live_index(sel, width):
     """The live part of the index keyed by vector rather than by id, with
     the value tables cut to ``width`` entries, so that two selectors that
     numbered their ids differently compare equal."""
-    vecs = sel.vecs
+    index = sel.index
+    vecs = index.vecs
     live = [i for i in range(len(vecs)) if sel.live >> i & 1]
 
     def named(mask):
@@ -80,21 +85,27 @@ def live_index(sel, width):
 
     return (
         {vecs[i]: sel.slots[i] for i in live},
-        {vecs[i]: named(sel.strict[i]) for i in live},
-        {vecs[i] for i in live if sel.strict[i] & sel.live},
-        [[named(mask) for mask in table[:w]] for table, w in zip(sel.at, width)],
-        sel.dup_mask,
+        {vecs[i]: named(index.strict[i]) for i in live},
+        {vecs[i] for i in live if index.strict[i] & sel.live},
+        [[named(mask) for mask in table[:w]] for table, w in zip(index.at, width)],
+        sel.dups,
     )
 
 
 def fields(sel):
-    """Deep copy of every selector field, to check that a call changed none."""
-    return [copy.deepcopy(getattr(sel, name)) for name in SteadyStateSelector.__slots__]
+    """Deep copy of every selector field, and of every field of its value
+    index, to check that a call changed none."""
+    return [
+        copy.deepcopy(getattr(obj, name))
+        for obj, names in ((sel, SteadyStateSelector.__slots__), (sel.index, ValueIndex.__slots__))
+        for name in names
+        if name != "index"
+    ]
 
 
 def selector(*objectives):
     """Selector over the combined population, last vector as offspring."""
-    sel = SteadyStateSelector(objectives[:-1], (-1, -1))
+    sel = SteadyStateSelector(objectives[:-1], (-1, -1), ValueIndex(2))
     sel.set_offspring(objectives[-1])
     return sel
 
@@ -247,7 +258,7 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
             arr = np.array(pts, dtype=np.int64)
             r = default_reference_point(m)
-            sel = SteadyStateSelector(pts[:-1], r)
+            sel = SteadyStateSelector(pts[:-1], r, ValueIndex(len(r)))
             sel.set_offspring(pts[-1])
             for s in range(40):
                 a = sel.choose_removal(np.random.default_rng(s))
@@ -262,7 +273,7 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
             arr = np.array(pts, dtype=np.int64)
             r = default_reference_point(m)
-            sel = SteadyStateSelector(pts[:-1], r)
+            sel = SteadyStateSelector(pts[:-1], r, ValueIndex(len(r)))
             sel.set_offspring(pts[-1])
             sub = sorted({int(i) for i in rng.integers(0, size, size=max(1, size // 2))})
             mask = 0
@@ -284,12 +295,12 @@ class TestSteadyStateSelector:
                 # and dominated members common
                 pool = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size // 2 + 1)]
                 pts = [pool[int(rng.integers(len(pool)))] for _ in range(size)]
-                sel = SteadyStateSelector(pts, default_reference_point(m))
+                sel = SteadyStateSelector(pts, default_reference_point(m), ValueIndex(m))
                 # every member is indexed and live; slot ``size`` starts free
-                assert set(sel.vecs) == set(pts) and sel.free == size
+                assert set(sel.index.vecs) == set(pts) and sel.free == size
                 assert_index_definitions(sel, (1 << size) - 1)
-                seen_dup += sel.dup_mask != 0
-                seen_dominated += sel.dominated != 0
+                seen_dup += sel.dups != []
+                seen_dominated += sel.index.dominated != 0
         assert seen_dup > 20 and seen_dominated > 20
 
     def test_incremental_state_matches_rebuild(self):
@@ -298,7 +309,7 @@ class TestSteadyStateSelector:
             m = int(rng.integers(2, 5))
             size = int(rng.integers(3, 9))
             pts = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size)]
-            sel = SteadyStateSelector(pts[:-1], default_reference_point(m))
+            sel = SteadyStateSelector(pts[:-1], default_reference_point(m), ValueIndex(m))
             everyone = (1 << size) - 1
             inserted = dict.fromkeys(pts[:-1])
             for _ in range(20):
@@ -310,14 +321,14 @@ class TestSteadyStateSelector:
                 assert sel.set_offspring(offspring) == (offspring not in present)
                 # each distinct vector keeps the id it was first given
                 inserted.setdefault(offspring)
-                assert sel.vecs == list(inserted)
+                assert sel.index.vecs == list(inserted)
                 # with the offspring installed, every slot is a member
                 assert_index_definitions(sel, everyone)
                 # a fresh build from the members indexes the same members;
                 # ids may be numbered differently, and a grown table may
                 # keep entries past the current maximum
-                fresh = SteadyStateSelector(slot_vectors(sel), sel.r)
-                width = [len(col) for col in fresh.at]
+                fresh = SteadyStateSelector(slot_vectors(sel), sel.r, ValueIndex(m))
+                width = [len(col) for col in fresh.index.at]
                 assert live_index(sel, width) == live_index(fresh, width)
                 removed = sel.choose_removal(rng)
                 vector = slot_vectors(sel)[removed]
@@ -331,41 +342,46 @@ class TestSteadyStateSelector:
 
     def test_dead_ids_are_revived_not_reused(self):
         r = (-1, -1)
-        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], r)
-        assert (sel.live, sel.dup_mask, sel.free) == (0b11, 0b110, 3)
+        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], r, ValueIndex(2))
+        index = sel.index
+
+        def dup_slots():
+            return sum(1 << s for s in sel.dups)
+
+        assert (sel.live, dup_slots(), sel.free) == (0b11, 0b110, 3)
         assert sel.set_offspring((2, 0)) is True  # a new vector is born
         assert sel.commit_removal(3) == (2, 0)  # no other slot holds (2, 0): id 2 dies
-        assert sel.ids == {(1, 1): 0, (0, 2): 1, (2, 0): 2}
-        assert (sel.live, sel.dup_mask) == (0b011, 0b110)
+        assert index.ids == {(1, 1): 0, (0, 2): 1, (2, 0): 2}
+        assert (sel.live, dup_slots()) == (0b011, 0b110)
 
         def tables():
-            return [list(col) for col in sel.at], list(sel.strict), sel.dominated
+            return [list(col) for col in index.at], list(index.strict), index.dominated
 
         before = tables()
         assert sel.set_offspring((0, 2)) is False  # a live vector gains a slot
-        assert (sel.vid[3], sel.slots[1], sel.dup_mask, tables()) == (1, 0b1110, 0b1110, before)
+        assert (sel.vid[3], sel.slots[1], dup_slots(), tables()) == (1, 0b1110, 0b1110, before)
         assert sel.commit_removal(0) == (1, 1)  # (1, 1) has no other holder: id 0 dies
         assert (sel.live, sel.slots[0], sel.free) == (0b010, 0, 0)
 
         assert sel.set_offspring((3, 0)) is True  # a new vector takes id len(vecs), not a dead id
-        assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0)] and sel.vid[0] == 3
-        assert sel.ids[(1, 1)] == 0 and sel.ids[(2, 0)] == 2  # dead ids keep their vectors
-        assert len(sel.at[0]) == 4  # coordinate 3 grows the tables
-        assert sel.dominated == 0b0100  # the dead (2, 0) gains a strict dominator
+        assert index.vecs == [(1, 1), (0, 2), (2, 0), (3, 0)] and sel.vid[0] == 3
+        assert index.ids[(1, 1)] == 0 and index.ids[(2, 0)] == 2  # dead ids keep their vectors
+        assert len(index.at[0]) == 4  # coordinate 3 grows the tables
+        assert index.dominated == 0b0100  # the dead (2, 0) gains a strict dominator
         assert_index_definitions(sel, 0b1111)
 
         assert sel.commit_removal(3) is None  # (0, 2) keeps two slots
-        assert (sel.live, sel.dup_mask) == (0b1010, 0b0110)
+        assert (sel.live, dup_slots()) == (0b1010, 0b0110)
         before = tables()
         assert sel.set_offspring((2, 0)) is True  # revives id 2 in place
         assert (sel.vid[3], sel.live, tables()) == (2, 0b1110, before)
         assert_index_definitions(sel, 0b1111)
 
         assert sel.commit_removal(1) is None  # (0, 2) keeps slot 2
-        assert (sel.live, sel.dup_mask) == (0b1110, 0)
+        assert (sel.live, dup_slots()) == (0b1110, 0)
         assert sel.set_offspring((1, 3)) is True  # the dead id 0 stays (1, 1): a fresh id
-        assert sel.vecs == [(1, 1), (0, 2), (2, 0), (3, 0), (1, 3)] and sel.vid[1] == 4
-        assert sel.dominated == 0b00111
+        assert index.vecs == [(1, 1), (0, 2), (2, 0), (3, 0), (1, 3)] and sel.vid[1] == 4
+        assert index.dominated == 0b00111
         assert_index_definitions(sel, 0b1111)
         arr = np.array(slot_vectors(sel), dtype=np.int64)
         for s in range(20):
@@ -385,7 +401,8 @@ class TestSteadyStateSelector:
             return real(self, obj)
 
         monkeypatch.setattr(SteadyStateSelector, "set_offspring", counted)
-        sel = SteadyStateSelector([(0, 2), (1, 1), (0, 2), (2, 0), (1, 1)], (-1, -1))
+        members = [(0, 2), (1, 1), (0, 2), (2, 0), (1, 1)]
+        sel = SteadyStateSelector(members, (-1, -1), ValueIndex(2))
         assert calls == []
         rng = np.random.default_rng(0)
         offspring = [(3, 0), (0, 2), (1, 1), (0, 4)]
@@ -398,7 +415,7 @@ class TestSteadyStateSelector:
         # the caller's list is neither kept nor written: the selector is the
         # one record of each slot's vector
         members = [(0, 2), (2, 0), (1, 1)]
-        sel = SteadyStateSelector(members, (-1, -1))
+        sel = SteadyStateSelector(members, (-1, -1), ValueIndex(2))
         assert all(getattr(sel, name) is not members for name in SteadyStateSelector.__slots__)
         sel.set_offspring((0, 0))
         assert members == [(0, 2), (2, 0), (1, 1)] and sel.free == 3
@@ -416,37 +433,87 @@ class TestSteadyStateSelector:
         pts = [(0, 2), (2, 0), (1, 1)]
         for r in ((-1,), (-1, -1, -1), (0, -1), (-1, 0), (5, 5)):
             with pytest.raises(ValueError, match="reference point"):
-                SteadyStateSelector(list(pts), r)
-        assert SteadyStateSelector(list(pts), (-3, -1)).r == (-3, -1)
+                SteadyStateSelector(list(pts), r, ValueIndex(len(r)))
+        assert SteadyStateSelector(list(pts), (-3, -1), ValueIndex(2)).r == (-3, -1)
 
     def test_negative_objective_values_rejected(self):
         # the value index is addressed by objective value
         with pytest.raises(ValueError, match=">= 0"):
-            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2))
+            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2), ValueIndex(2))
         sel = selector((0, 2), (2, 0), (1, 1))
         sel.commit_removal(1)
+        # a second selector on the shared index sees every rejection too
+        other = SteadyStateSelector([(2, 0), (0, 2)], (-1, -1), sel.index)
 
-        before = fields(sel)
+        before = fields(sel), fields(other)
         with pytest.raises(ValueError, match=">= 0"):
             sel.set_offspring((3, -1))
-        assert fields(sel) == before
+        with pytest.raises(ValueError, match=">= 0"):
+            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2), sel.index)
+        assert (fields(sel), fields(other)) == before
 
     def test_wrong_objective_count_rejected(self):
         # zip would index a short or long vector by its truncated coordinates
         for members in ([(0, 2), (2, 0, 5), (1, 1)], [(0, 2), (1, 1), (2,)]):
             with pytest.raises(ValueError, match="does not have 2 objectives"):
-                SteadyStateSelector(members, (-1, -1))
-        sel = SteadyStateSelector([(0, 2), (2, 0), (1, 1)], (-1, -1))
-        before = fields(sel)
+                SteadyStateSelector(members, (-1, -1), ValueIndex(2))
+        sel = SteadyStateSelector([(0, 2), (2, 0), (1, 1)], (-1, -1), ValueIndex(2))
+        other = SteadyStateSelector([(1, 1), (1, 1)], (-1, -1), sel.index)
+        before = fields(sel), fields(other)
         with pytest.raises(ValueError, match="does not have 2 objectives"):
             sel.set_offspring((1,))
-        assert fields(sel) == before
+        assert (fields(sel), fields(other)) == before
         sel.set_offspring((1, 1))
         sel.commit_removal(1)
-        before = fields(sel)
+        before = fields(sel), fields(other)
         with pytest.raises(ValueError, match="does not have 2 objectives"):
             sel.set_offspring((3, 3, 3))
-        assert fields(sel) == before
+        with pytest.raises(ValueError, match="does not have 2 objectives"):
+            SteadyStateSelector([(0, 2), (3, 3, 3)], (-1, -1), sel.index)
+        assert (fields(sel), fields(other)) == before
+
+    def test_two_selectors_on_one_index(self):
+        r = (-1, -1, -1)
+        index = ValueIndex(3)
+        a = SteadyStateSelector([(0, 2, 1), (1, 1, 1), (0, 2, 1)], r, index)
+        # b enters (2, 0, 0), (3, 0, 0) and then (0, 0, 3) after a last grew
+        b = SteadyStateSelector([(2, 0, 0), (3, 0, 0), (1, 1, 1)], r, index)
+        assert b.set_offspring((0, 0, 3)) is True
+        assert index.vecs == [(0, 2, 1), (1, 1, 1), (2, 0, 0), (3, 0, 0), (0, 0, 3)]
+        assert len(a.slots) == 2
+        # a meets id 2, given out by b: its slot list grows to the index
+        assert a.set_offspring((2, 0, 0)) is True
+        assert len(a.slots) == 5 and a.vid[3] == 2
+        # a's population is an antichain with duplicates, but (2, 0, 0) has
+        # a strict dominator in b's, so a goes round the antichain shortcut
+        # and must still remove a duplicate
+        assert a.live & index.dominated == 0b100 and a.dups == [0, 2]
+        pops = {a: [(0, 2, 1), (1, 1, 1), (0, 2, 1), (2, 0, 0)]}
+        pops[b] = [(2, 0, 0), (3, 0, 0), (1, 1, 1), (0, 0, 3)]
+
+        rng = np.random.default_rng(11)
+        pool = [tuple(map(int, rng.integers(0, 5, size=3))) for _ in range(12)]
+        for step in range(80):
+            sel = (a, b)[step % 2]
+            pop = pops[sel]
+            assert_index_definitions(sel, (1 << len(pop)) - 1)
+            eligible = mask = None
+            if step % 4 >= 2:
+                eligible = sorted({int(d) for d in rng.integers(len(pop), size=len(pop) // 2)})
+                mask = sum(1 << s for s in eligible)
+            seed = int(rng.integers(2**32))
+            removed = sel.choose_removal(np.random.default_rng(seed), mask)
+            expected = select_removal_index(
+                np.array(pop, dtype=np.int64), r, np.random.default_rng(seed), eligible
+            )
+            assert removed == expected, f"step {step}"
+            sel.commit_removal(removed)
+            assert_index_definitions(sel, (1 << len(pop)) - 1 & ~(1 << removed))
+            pop[removed] = pool[int(rng.integers(len(pool)))]
+            sel.set_offspring(pop[removed])
+        for sel, pop in pops.items():
+            assert slot_vectors(sel) == pop
+            assert_index_definitions(sel, (1 << len(pop)) - 1)
 
     @settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
@@ -460,7 +527,7 @@ class TestSteadyStateSelector:
         sampled = data.draw(st.booleans(), label="sampled")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         r = default_reference_point(m)
-        sel = SteadyStateSelector(pop[:-1], r)
+        sel = SteadyStateSelector(pop[:-1], r, ValueIndex(m))
         sel.set_offspring(pop[-1])
         sel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(40):
