@@ -12,13 +12,14 @@ already present, and most removals leave theirs present).  SMS-EMOA's
 selector reports them; GSEMO's archive is one dict from vector to genome, so
 a birth is a child whose vector it lacks and a death a dropped member.
 
-What depends on a vector alone is computed once per problem per process:
-``_problem_memo`` keeps, for each ``ProblemInstance`` a run has met, the
-selector's :class:`~emoabench.selection.ValueIndex` and the tracker's
-per-vector facts, and every later run on that problem reuses them.  The
-memo lives as long as the process (a pool worker's, for the harness); per
-problem it holds at most one entry per vector of the problem, a number the
-selection module bounds, whatever the runs' count or length.
+Both loops decide dominance from the same
+:class:`~emoabench.selection.ValueIndex`, and what depends on a vector alone
+is computed once per problem per process: ``_problem_memo`` keeps, for each
+``ProblemInstance`` a run has met, that index and the tracker's per-vector
+facts, and every later run of either algorithm on that problem reuses them.
+The memo lives as long as the process (a pool worker's, for the harness);
+per problem it holds at most one entry per vector of the problem, a number
+the selection module bounds, whatever the runs' count or length.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import bounds
 from .benchmarks import ProblemInstance
-from .core import dominates, weakly_dominates
 from .selection import SteadyStateSelector, ValueIndex, default_reference_point
 from .variation import MutationOperator, uniform_below
 
@@ -42,8 +42,10 @@ class AlgorithmConfig:
 
     Auto mu is the incomparable-set bound (n'+1)^(m/2) for the standard
     update and twice that plus one for the stochastic update (n+1 resp.
-    2n+3 for the bi-objective benchmarks), the regimes where the survival
-    guarantees hold.  The auto iteration cap is 100x the closed-form bound,
+    2n+3 for the bi-objective benchmarks).  The standard update loses no
+    covered front vector there; the stochastic update still does (see
+    :class:`RunRecord`), and whether its sample or the survival claim should
+    change is open.  The auto iteration cap is 100x the closed-form bound,
     so censoring is a loud signal rather than a hang.
     """
 
@@ -226,6 +228,23 @@ class _CoverageTracker:
             if not self.inner_trajectory or self.inner_trajectory[-1][1] != top:
                 self.inner_trajectory.append((iteration, top))
 
+    def result(
+        self, seed: int, iterations: int, start: int, max_pop: int, antichain: int = 0
+    ) -> RunRecord:
+        """The run's record, after ``start`` start evaluations and ``iterations``."""
+        return RunRecord(
+            seed=seed,
+            iterations_to_coverage=self.hit,
+            iterations=iterations,
+            evaluations=start + iterations,
+            censored=self.hit is None,
+            coverage_trajectory=self.trajectory,
+            inner_coverage_trajectory=self.inner_trajectory,
+            coverage_violations=self.violations,
+            max_population_size=max_pop,
+            antichain_violations=antichain,
+        )
+
 
 def sms_emoa_run(
     inst: ProblemInstance,
@@ -293,17 +312,7 @@ def sms_emoa_run(
             if stop and cov.hit is not None:
                 break
 
-    return RunRecord(
-        seed=cfg.seed,
-        iterations_to_coverage=cov.hit,
-        iterations=iterations,
-        evaluations=mu + iterations,
-        censored=cov.hit is None,
-        coverage_trajectory=cov.trajectory,
-        inner_coverage_trajectory=cov.inner_trajectory,
-        coverage_violations=cov.violations,
-        max_population_size=mu,
-    )
+    return cov.result(cfg.seed, iterations, mu, mu)
 
 
 def gsemo_run(
@@ -314,8 +323,11 @@ def gsemo_run(
     """Archive-style baseline: single random start, offspring kept iff not
     dominated, weakly dominated members dropped; population stays an antichain.
 
-    Each change of the archive's vector set re-checks pairwise
-    incomparability independently of the acceptance step, and
+    Dominance comes from the problem's shared value index; ``live`` masks
+    the archive's ids.  The archive holds each vector once, so the members a
+    kept child weakly dominates, other than its own vector, are those it
+    strictly dominates.  Each change of the archive's vector set re-checks
+    pairwise incomparability independently of the index, and
     ``antichain_violations`` sums the comparable pairs found.
     """
     if cfg.algo != "gsemo":
@@ -325,11 +337,15 @@ def gsemo_run(
     _, max_iters = run_limits(inst, cfg)
     n = inst.n
     cov = _CoverageTracker(inst)
+    index = _problem_memo(inst)[0]
+    ids, strict = index.ids, index.strict
 
     # the parent draw indexes insertion order: survivors, then the child
     start = _random_masks(n, 1, rng)[0]
-    archive = {inst.evaluate_mask(start): start}
-    cov.add(*archive)
+    sobj = inst.evaluate_mask(start)
+    archive = {sobj: start}
+    live = 1 << (ids[sobj] if sobj in ids else index.enter(sobj))
+    cov.add(sobj)
     cov.record(0)
     max_pop = 1
     antichain_violations = 0
@@ -343,16 +359,20 @@ def gsemo_run(
         parent = list(archive.values())[uniform_below(rng, len(archive))]
         child = cfg.mutation.mutate_mask(parent, n, rng)
         cobj = inst.evaluate_mask(child)
-        if any(dominates(p, cobj) for p in archive):
+        i = ids.get(cobj)
+        if i is None:
+            i = index.enter(cobj)
+        if strict[i] & live:
             continue
         born = cobj not in archive
-        dead = [p for p in archive if p != cobj and weakly_dominates(cobj, p)]
+        dead = [p for p in archive if strict[ids[p]] >> i & 1]
         for p in dead:
             del archive[p]
         # an equal member's genome is replaced and moves last
         archive.pop(cobj, None)
         archive[cobj] = child
         if born or dead:
+            live = sum(1 << ids[p] for p in archive)
             if born:
                 cov.add(cobj)
             for p in dead:
@@ -363,18 +383,7 @@ def gsemo_run(
             if stop and cov.hit is not None:
                 break
 
-    return RunRecord(
-        seed=cfg.seed,
-        iterations_to_coverage=cov.hit,
-        iterations=iterations,
-        evaluations=1 + iterations,
-        censored=cov.hit is None,
-        coverage_trajectory=cov.trajectory,
-        inner_coverage_trajectory=cov.inner_trajectory,
-        coverage_violations=cov.violations,
-        max_population_size=max_pop,
-        antichain_violations=antichain_violations,
-    )
+    return cov.result(cfg.seed, iterations, 1, max_pop, antichain_violations)
 
 
 def _comparable_pairs(tuples: list[tuple[int, ...]]) -> int:

@@ -106,10 +106,10 @@ def applicable_theorems(inst: ProblemInstance, cfg: AlgorithmConfig) -> list[str
     if inst.kind == "lotz":
         return ["lotz"] if cfg.algo == "sms_emoa" else []
     if inst.kind == "mojzj":
+        if cfg.mutation.kind == "heavy_tailed":
+            return []  # every mojzj closed form assumes standard 1/n mutation
         if cfg.algo == "gsemo":
             return ["gsemo"]
-        if cfg.mutation.kind == "heavy_tailed":
-            return []  # no explicit-constant closed form for that variant
         return ["spu"] if cfg.update == "stochastic" else ["sms"]
     return []
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -180,53 +180,35 @@ def _random_genome(n: int, rng: np.random.Generator) -> int:
     return genome
 
 
-def reference_sms_emoa_run(
+def _recounted_run(
     inst: ProblemInstance,
     cfg: AlgorithmConfig,
-    rng: np.random.Generator | None = None,
+    max_iters: int,
+    start: list[tuple[int, ObjectiveVector]],
+    step: Callable[[], tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]],
 ) -> RunRecord:
-    """The run of :func:`emoabench.algorithms.sms_emoa_run`, written plainly:
-    the combined population is a list of mu + 1 (genome, vector) slots with
-    one free index, each removal is :func:`select_removal_index` on the whole
-    (mu + 1, m) array, and coverage, losses, the hitting time and the best
-    inner level are recounted from the mu survivors after every iteration,
-    with inner levels taken from the genomes.  A loss is a front vector held
-    after the offspring is installed and not after the removal.  From the
-    same RNG stream it must return an equal record."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    n = inst.n
-    stochastic = cfg.update == "stochastic"
-    mu, max_iters = run_limits(inst, cfg)
-    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
+    """The record of a run from ``start``, one (genome, vector) pair per
+    start evaluation, whose iterations each call ``step()`` for the
+    offspring's vector and the population after it.  Coverage, losses, the
+    hitting time and the best inner level (from the genomes) are recounted
+    from the whole population after every iteration.  A loss is a front
+    vector held after the offspring joined and not after the iteration."""
     front = inst.pareto_front().points
-    slots = []
-    for _ in range(mu):
-        genome = _random_genome(n, rng)
-        slots.append((genome, inst.evaluate_mask(genome)))
-    slots.append((0, ()))  # the free slot, filled before it is read
-    free = mu
+    population = start
     covered: set[ObjectiveVector] = set()
     trajectory: list[tuple[int, int]] = []
     inner: list[tuple[int, int]] = []
     hit = None
     violations = iterations = 0
+    max_pop = len(population)
     for t in range(max_iters + 1):
         if t:  # iteration 0 only records the start
             if hit is not None and cfg.stop_at_coverage:
                 break
             iterations = t
-            survivors = [s for s in range(mu + 1) if s != free]
-            parent = slots[survivors[int(rng.integers(mu))]][0]
-            child = cfg.mutation.mutate_mask(parent, n, rng)
-            slots[free] = (child, inst.evaluate_mask(child))
-            covered |= {slots[free][1]} & front
-            eligible = None
-            if stochastic:
-                eligible = sorted(set(rng.integers(mu + 1, size=(mu + 1) // 2).tolist()))
-            objectives = np.array([v for _, v in slots], dtype=np.int64)
-            free = int(select_removal_index(objectives, r, rng, eligible))
-        population = [slot for s, slot in enumerate(slots) if s != free]
+            offspring, population = step()
+            covered |= {offspring} & front
+            max_pop = max(max_pop, len(population))
         now = {v for _, v in population} & front
         violations += len(covered - now)
         covered = now
@@ -242,13 +224,54 @@ def reference_sms_emoa_run(
         seed=cfg.seed,
         iterations_to_coverage=hit,
         iterations=iterations,
-        evaluations=mu + iterations,
+        evaluations=len(start) + iterations,
         censored=hit is None,
         coverage_trajectory=trajectory,
         inner_coverage_trajectory=inner,
         coverage_violations=violations,
-        max_population_size=mu,
+        max_population_size=max_pop,
     )
+
+
+def reference_sms_emoa_run(
+    inst: ProblemInstance,
+    cfg: AlgorithmConfig,
+    rng: np.random.Generator | None = None,
+) -> RunRecord:
+    """The run of :func:`emoabench.algorithms.sms_emoa_run`, written plainly:
+    the combined population is a list of mu + 1 (genome, vector) slots with
+    one free index, each removal is :func:`select_removal_index` on the whole
+    (mu + 1, m) array, and :func:`_recounted_run` recounts the mu survivors
+    after every iteration.  From the same RNG stream it must return an
+    equal record."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    n = inst.n
+    stochastic = cfg.update == "stochastic"
+    mu, max_iters = run_limits(inst, cfg)
+    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
+    slots = []
+    for _ in range(mu):
+        genome = _random_genome(n, rng)
+        slots.append((genome, inst.evaluate_mask(genome)))
+    slots.append((0, ()))  # the free slot, filled before it is read
+    free = mu
+
+    def step() -> tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]:
+        nonlocal free
+        survivors = [s for s in range(mu + 1) if s != free]
+        parent = slots[survivors[int(rng.integers(mu))]][0]
+        child = cfg.mutation.mutate_mask(parent, n, rng)
+        offspring = inst.evaluate_mask(child)
+        slots[free] = (child, offspring)
+        eligible = None
+        if stochastic:
+            eligible = sorted(set(rng.integers(mu + 1, size=(mu + 1) // 2).tolist()))
+        objectives = np.array([v for _, v in slots], dtype=np.int64)
+        free = int(select_removal_index(objectives, r, rng, eligible))
+        return offspring, [slot for s, slot in enumerate(slots) if s != free]
+
+    return _recounted_run(inst, cfg, max_iters, slots[:mu], step)
 
 
 def reference_gsemo_run(
@@ -257,58 +280,28 @@ def reference_gsemo_run(
     rng: np.random.Generator | None = None,
 ) -> RunRecord:
     """The GSEMO run of :func:`emoabench.algorithms.gsemo_run`, written
-    plainly: the archive is a list of (genome, vector) pairs, and coverage,
-    losses, the hitting time and the best inner level are recounted from the
-    whole archive after every iteration, with inner levels taken from the
-    genomes.  From the same RNG stream it must return an equal record; it
-    counts no antichain violations, so a correct run reads 0 on both sides."""
+    plainly: the archive is a list of (genome, vector) pairs, and
+    :func:`_recounted_run` recounts the whole archive after every iteration.
+    From the same RNG stream it must return an equal record; it counts no
+    antichain violations, so a correct run reads 0 on both sides."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = inst.n
     _, max_iters = run_limits(inst, cfg)
-    front = inst.pareto_front().points
     start = _random_genome(n, rng)
     archive = [(start, inst.evaluate_mask(start))]
-    covered: set[ObjectiveVector] = set()
-    trajectory: list[tuple[int, int]] = []
-    inner: list[tuple[int, int]] = []
-    hit = None
-    violations = iterations = 0
-    max_pop = 1
-    for t in range(max_iters + 1):
-        if t:  # iteration 0 only records the start
-            if hit is not None and cfg.stop_at_coverage:
-                break
-            iterations = t
-            parent = archive[int(rng.integers(len(archive)))][0]
-            child = cfg.mutation.mutate_mask(parent, n, rng)
-            cobj = inst.evaluate_mask(child)
-            if not any(dominates(v, cobj) for _, v in archive):
-                archive = [(g, v) for g, v in archive if not weakly_dominates(cobj, v)]
-                archive.append((child, cobj))
-                max_pop = max(max_pop, len(archive))
-        now = {v for _, v in archive} & front
-        violations += len(covered - now)
-        covered = now
-        if not trajectory or trajectory[-1][1] != len(covered):
-            trajectory.append((t, len(covered)))
-        if hit is None and covered == front:
-            hit = t
-        if inst.kind == "mojzj":
-            top = max(inner_level(g, inst) for g, _ in archive)
-            if not inner or inner[-1][1] != top:
-                inner.append((t, top))
-    return RunRecord(
-        seed=cfg.seed,
-        iterations_to_coverage=hit,
-        iterations=iterations,
-        evaluations=1 + iterations,
-        censored=hit is None,
-        coverage_trajectory=trajectory,
-        inner_coverage_trajectory=inner,
-        coverage_violations=violations,
-        max_population_size=max_pop,
-    )
+
+    def step() -> tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]:
+        parent = archive[int(rng.integers(len(archive)))][0]
+        child = cfg.mutation.mutate_mask(parent, n, rng)
+        cobj = inst.evaluate_mask(child)
+        # a rejected child is strictly dominated, so never on the front
+        if not any(dominates(v, cobj) for _, v in archive):
+            archive[:] = [(g, v) for g, v in archive if not weakly_dominates(cobj, v)]
+            archive.append((child, cobj))
+        return cobj, archive
+
+    return _recounted_run(inst, cfg, max_iters, list(archive), step)
 
 
 def verify_antichain(vectors: Sequence[ObjectiveVector]) -> bool:

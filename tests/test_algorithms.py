@@ -23,6 +23,7 @@ from emoabench.bounds import bound_value
 from emoabench.core import weakly_dominates
 from emoabench.harness import ExperimentSpec, run_experiment
 from emoabench.oracle import reference_gsemo_run, reference_sms_emoa_run
+from emoabench.selection import ValueIndex
 from emoabench.variation import MutationOperator
 
 MOJZJ8 = ProblemInstance.mojzj(8, 4, 2)
@@ -213,8 +214,17 @@ class TestGsemoRun:
         assert rec.antichain_violations == 0
 
     def test_antichain_self_check_catches_a_broken_acceptance_step(self, monkeypatch):
-        # an acceptance step that drops no member keeps dominated ones
-        monkeypatch.setattr(algorithms, "weakly_dominates", lambda u, v: False)
+        # an acceptance step that drops no member keeps dominated ones: a new
+        # vector's id never enters the strict entries of the ids it dominates
+        class NoDrops(ValueIndex):
+            def enter(self, obj):
+                before = self.strict[:]
+                i = super().enter(obj)
+                self.strict[:i] = before
+                return i
+
+        # a fresh index and fact dict, so the shared memo stays untouched
+        monkeypatch.setattr(algorithms, "_problem_memo", lambda inst: (NoDrops(inst.m), {}))
         c = cfg(algo="gsemo", seed=0, max_iterations=2000, stop_at_coverage=False)
         assert gsemo_run(MOJZJ8, c).antichain_violations > 0
 
@@ -482,11 +492,19 @@ class TestProblemMemo:
                     stop_at_coverage=False)
             return sms_emoa_run(inst, c)
 
+        def gsemo(seed):
+            c = cfg(algo="gsemo", seed=seed, max_iterations=self.ITERATIONS,
+                    stop_at_coverage=False)
+            return gsemo_run(inst, c)
+
         memo = algorithms._problem_memo
-        cold = {}
+        cold, cold_gsemo = {}, {}
         for seed in self.SEEDS:
             memo.cache_clear()
             cold[seed] = run(seed)
+            memo.cache_clear()
+            cold_gsemo[seed] = gsemo(seed)
+            assert memo(inst)[0].vecs  # GSEMO enters its vectors in the shared index
 
         def warmed(warm_up, seeds):
             memo.cache_clear()
@@ -497,10 +515,11 @@ class TestProblemMemo:
 
         # other seeds, the same seeds in reverse order, and a GSEMO run
         assert warmed(lambda: [run(seed) for seed in (7, 8)], self.SEEDS) == cold
+        # GSEMO on the index those SMS-EMOA runs filled
+        assert {seed: gsemo(seed) for seed in self.SEEDS[::-1]} == cold_gsemo
         assert warmed(lambda: run(self.SEEDS[-1]), self.SEEDS[::-1]) == cold
-        gsemo = cfg(algo="gsemo", seed=5, max_iterations=self.ITERATIONS, stop_at_coverage=False)
         memo.cache_clear()
-        gsemo_run(inst, gsemo)
+        gsemo(5)
         assert memo(inst)[1]  # GSEMO fills the shared facts
         assert {seed: run(seed) for seed in self.SEEDS} == cold
 

@@ -80,8 +80,10 @@ class TestRun:
             (["--problem", "mojzj:n=8,m=2,k=2", "--mutation", "heavy"],
              "mojzj:n=8,m=2,k=2 with sms_emoa/heavy_tailed"),
             (["--problem", "omm:n=6", "--algo", "gsemo"], "omm:n=6 with gsemo/standard"),
+            (["--problem", "mojzj:n=8,m=4,k=2", "--algo", "gsemo", "--mutation", "heavy"],
+             "mojzj:n=8,m=4,k=2 with gsemo/heavy_tailed"),
         ],
-        ids=["momm", "heavy-tailed", "gsemo-omm"],
+        ids=["momm", "heavy-tailed", "gsemo-omm", "gsemo-heavy"],
     )
     def test_bounds_without_closed_form_say_so(self, capsys, argv, setting):
         code = run_cli("run", *argv, "--reps", "2", "--max-iters", "50", "--bounds")

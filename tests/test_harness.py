@@ -95,6 +95,8 @@ class TestBoundValues:
         assert applicable_theorems(jz, cfg(algo="gsemo")) == ["gsemo"]
         # no explicit-constant closed form for these
         assert applicable_theorems(jz, cfg(mutation=MutationOperator("heavy_tailed", 1.5))) == []
+        heavy_gsemo = cfg(algo="gsemo", mutation=MutationOperator("heavy_tailed", 1.5))
+        assert applicable_theorems(jz, heavy_gsemo) == []
         assert applicable_theorems(ProblemInstance.momm(8, 4), cfg()) == []
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
         momm = ExperimentSpec(ProblemInstance.momm(8, 4), cfg())
