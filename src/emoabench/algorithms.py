@@ -33,7 +33,7 @@ import numpy as np
 from . import bounds
 from .benchmarks import ProblemInstance
 from .selection import SteadyStateSelector, ValueIndex, default_reference_point
-from .variation import MutationOperator, uniform_below
+from .variation import Draws, MutationOperator
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,6 +268,7 @@ def sms_emoa_run(
     n = inst.n
     r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
 
+    draws = Draws(rng)  # rejects a generator other than PCG64 before any draw
     genomes = _random_masks(n, mu, rng) + [0]
     members = [inst.evaluate_mask(g) for g in genomes[:mu]]
     # the tracker counts distinct vectors: it changes only when the selector
@@ -284,33 +285,30 @@ def sms_emoa_run(
     if stop and cov.hit is not None:
         max_iters = 0  # the start population covers the front
     iterations = 0
-    for t_iter in range(1, max_iters + 1):
-        iterations = t_iter
-        free = selector.free
-        # survivors occupy every slot except the free one
-        parent = uniform_below(rng, mu)
-        if parent >= free:
-            parent += 1
-        child = mutate(genomes[parent], n, rng)
-        cobj = evaluate(child)
-        genomes[free] = child
-        born = selector.set_offspring(cobj)
+    with draws:
+        for t_iter in range(1, max_iters + 1):
+            iterations = t_iter
+            free = selector.free
+            # survivors occupy every slot except the free one
+            parent = draws.below(mu)
+            if parent >= free:
+                parent += 1
+            child = mutate(genomes[parent], n, draws)
+            cobj = evaluate(child)
+            genomes[free] = child
+            born = selector.set_offspring(cobj)
 
-        eligible = None
-        if stochastic:
-            eligible = 0
-            for d in rng.integers(mu + 1, size=(mu + 1) // 2).tolist():
-                eligible |= 1 << d
-        gone = selector.commit_removal(selector.choose_removal(rng, eligible))
-        if born or gone is not None:
-            # added before the removal, as the offspring joined first
-            if born:
-                cov.add(cobj)
-            if gone is not None:
-                cov.remove(gone)
-            cov.record(t_iter)
-            if stop and cov.hit is not None:
-                break
+            eligible = draws.sample_mask(mu + 1, (mu + 1) // 2) if stochastic else None
+            gone = selector.commit_removal(selector.choose_removal(draws, eligible))
+            if born or gone is not None:
+                # added before the removal, as the offspring joined first
+                if born:
+                    cov.add(cobj)
+                if gone is not None:
+                    cov.remove(gone)
+                cov.record(t_iter)
+                if stop and cov.hit is not None:
+                    break
 
     return cov.result(cfg.seed, iterations, mu, mu)
 
@@ -341,6 +339,7 @@ def gsemo_run(
     ids, strict = index.ids, index.strict
 
     # the parent draw indexes insertion order: survivors, then the child
+    draws = Draws(rng)  # rejects a generator other than PCG64 before any draw
     start = _random_masks(n, 1, rng)[0]
     sobj = inst.evaluate_mask(start)
     archive = {sobj: start}
@@ -354,34 +353,35 @@ def gsemo_run(
         max_iters = 0  # the start covers the front
 
     iterations = 0
-    for t_iter in range(1, max_iters + 1):
-        iterations = t_iter
-        parent = list(archive.values())[uniform_below(rng, len(archive))]
-        child = cfg.mutation.mutate_mask(parent, n, rng)
-        cobj = inst.evaluate_mask(child)
-        i = ids.get(cobj)
-        if i is None:
-            i = index.enter(cobj)
-        if strict[i] & live:
-            continue
-        born = cobj not in archive
-        dead = [p for p in archive if strict[ids[p]] >> i & 1]
-        for p in dead:
-            del archive[p]
-        # an equal member's genome is replaced and moves last
-        archive.pop(cobj, None)
-        archive[cobj] = child
-        if born or dead:
-            live = sum(1 << ids[p] for p in archive)
-            if born:
-                cov.add(cobj)
+    with draws:
+        for t_iter in range(1, max_iters + 1):
+            iterations = t_iter
+            parent = list(archive.values())[draws.below(len(archive))]
+            child = cfg.mutation.mutate_mask(parent, n, draws)
+            cobj = inst.evaluate_mask(child)
+            i = ids.get(cobj)
+            if i is None:
+                i = index.enter(cobj)
+            if strict[i] & live:
+                continue
+            born = cobj not in archive
+            dead = [p for p in archive if strict[ids[p]] >> i & 1]
             for p in dead:
-                cov.remove(p)
-            max_pop = max(max_pop, len(archive))
-            antichain_violations += _comparable_pairs(list(archive))
-            cov.record(t_iter)
-            if stop and cov.hit is not None:
-                break
+                del archive[p]
+            # an equal member's genome is replaced and moves last
+            archive.pop(cobj, None)
+            archive[cobj] = child
+            if born or dead:
+                live = sum(1 << ids[p] for p in archive)
+                if born:
+                    cov.add(cobj)
+                for p in dead:
+                    cov.remove(p)
+                max_pop = max(max_pop, len(archive))
+                antichain_violations += _comparable_pairs(list(archive))
+                cov.record(t_iter)
+                if stop and cov.hit is not None:
+                    break
 
     return cov.result(cfg.seed, iterations, 1, max_pop, antichain_violations)
 

@@ -6,9 +6,11 @@ hypervolume from inclusion-exclusion or Monte-Carlo sampling instead of the
 dimension sweep, the survivor choice from array-based front peeling and
 leave-one-out hypervolume instead of the incremental selector, and whole
 SMS-EMOA and GSEMO runs from plain population lists and per-iteration
-recounts instead of the runs' incremental bookkeeping.  The oracles ship in
-the library (not only in the tests) so the CLI ``verify`` subcommand can run
-self-verification on demand.
+recounts instead of the runs' incremental bookkeeping.  The reference runs
+draw through numpy's ``Generator`` calls throughout, never through the run
+path's decoder of raw words.  The oracles ship in the library (not only in
+the tests) so the CLI ``verify`` subcommand can run self-verification on
+demand.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .benchmarks import (
 )
 from .core import ObjectiveVector, dominates, incomparable, weakly_dominates
 from .selection import ReferencePoint, default_reference_point, hypervolume
+from .variation import MutationOperator, power_law
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +183,25 @@ def _random_genome(n: int, rng: np.random.Generator) -> int:
     return genome
 
 
+def _mutate(mutation: MutationOperator, mask: int, n: int, rng: np.random.Generator) -> int:
+    """The run path's mutation from numpy's own calls: heavy-tailed alpha by
+    ``searchsorted`` over the power law's cdf, a binomial flip count, and
+    flip positions drawn by ``rng.integers(n)`` until that many are
+    distinct."""
+    rate = 1.0 / n
+    if mutation.kind == "heavy_tailed":
+        cdf = np.cumsum(power_law(n, mutation.beta).pmf_array())
+        alpha = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
+        rate = alpha / n
+    count = int(rng.binomial(n, rate))
+    flips: set[int] = set()
+    while len(flips) < count:
+        flips.add(int(rng.integers(n)))
+    for i in flips:
+        mask ^= 1 << i
+    return mask
+
+
 def _recounted_run(
     inst: ProblemInstance,
     cfg: AlgorithmConfig,
@@ -261,7 +283,7 @@ def reference_sms_emoa_run(
         nonlocal free
         survivors = [s for s in range(mu + 1) if s != free]
         parent = slots[survivors[int(rng.integers(mu))]][0]
-        child = cfg.mutation.mutate_mask(parent, n, rng)
+        child = _mutate(cfg.mutation, parent, n, rng)
         offspring = inst.evaluate_mask(child)
         slots[free] = (child, offspring)
         eligible = None
@@ -293,7 +315,7 @@ def reference_gsemo_run(
 
     def step() -> tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]:
         parent = archive[int(rng.integers(len(archive)))][0]
-        child = cfg.mutation.mutate_mask(parent, n, rng)
+        child = _mutate(cfg.mutation, parent, n, rng)
         cobj = inst.evaluate_mask(child)
         # a rejected child is strictly dominated, so never on the front
         if not any(dominates(v, cobj) for _, v in archive):

@@ -31,10 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import ObjectiveVector
-from .variation import uniform_below
+from .variation import Draws
 
 ReferencePoint = tuple[int, ...]
 
@@ -254,7 +252,7 @@ class SteadyStateSelector:
                 return alive
             alive = behind
 
-    def choose_removal(self, rng: np.random.Generator, eligible: int | None = None) -> int:
+    def choose_removal(self, draws: Draws, eligible: int | None = None) -> int:
         """Index to remove; ``eligible`` is a bitmask of sampled slots
         (None means the full combined population)."""
         if eligible is None:
@@ -262,7 +260,7 @@ class SteadyStateSelector:
             if dups and not self.live & self.index.dominated:
                 # on an antichain every slot is in the last front, and the
                 # duplicated slots are exactly the zero-contribution members
-                return dups[uniform_below(rng, len(dups))]
+                return dups[draws.below(len(dups))]
             held = self.slots
             last = self._last_front(self.live)
         else:
@@ -283,13 +281,13 @@ class SteadyStateSelector:
             else:
                 single |= h
         if dup:
-            return _nth_set_bit(dup, uniform_below(rng, dup.bit_count()))
+            return _nth_set_bit(dup, draws.below(dup.bit_count()))
         members = _bits(single)
         if len(members) == 1:
             return members[0]
         vecs = self.index.vecs
         pick = min_contribution_indices([vecs[self.vid[s]] for s in members], self.r)
-        return members[pick[uniform_below(rng, len(pick))]]
+        return members[pick[draws.below(len(pick))]]
 
     def commit_removal(self, removed: int) -> ObjectiveVector | None:
         """Free slot ``removed`` for the next offspring.  Return its vector

@@ -29,6 +29,7 @@ from emoabench.selection import (
     hypervolume,
 )
 from emoabench.variation import (
+    Draws,
     MutationOperator,
     heavy_tailed_flip_probability,
     power_law,
@@ -160,11 +161,10 @@ def test_criterion_05_survival_stochastic_update():
     sel.set_offspring(tuples[-1])
     removed_counts = np.zeros(mu + 1, dtype=np.int64)
     half = (mu + 1) // 2
-    for _ in range(SELECTION_EVENTS):
-        eligible = 0
-        for d in rng.integers(mu + 1, size=half).tolist():
-            eligible |= 1 << d
-        removed_counts[sel.choose_removal(rng, eligible)] += 1
+    with Draws(rng) as draws:
+        for _ in range(SELECTION_EVENTS):
+            eligible = draws.sample_mask(mu + 1, half)
+            removed_counts[sel.choose_removal(draws, eligible)] += 1
     freqs = 1.0 - removed_counts / SELECTION_EVENTS
     sigma = math.sqrt(0.25 / SELECTION_EVENTS)
     threshold = 0.5 - MC_SIGMA * sigma

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emoabench import algorithms
+from emoabench import algorithms, variation
 from emoabench.algorithms import (
     AlgorithmConfig,
     _comparable_pairs,
@@ -391,6 +391,68 @@ class TestCoverageTracker:
         # the sequences reach full coverage and, on mojzj, lose inner levels
         assert hits
         assert falls or inst.kind != "mojzj"
+
+
+class TestGeneratorStream:
+    """The runs draw through :class:`~emoabench.variation.Draws`, the
+    reference runs through numpy's own calls; both leave their generator in
+    the same state."""
+
+    @pytest.mark.parametrize(
+        "inst, kw",
+        [
+            (MOJZJ8, dict(seed=3)),
+            (MOJZJ8, dict(seed=4, update="stochastic", max_iterations=300, stop_at_coverage=False)),
+            (ProblemInstance.oneminmax(12), dict(seed=5, update="stochastic")),
+            (ProblemInstance.lotz(10), dict(seed=6, mutation=MutationOperator("heavy_tailed", 1.5))),
+            # alpha reaches 31 at n=64, where numpy draws the binomial by BTPE
+            (
+                ProblemInstance.oneminmax(64),
+                dict(seed=7, mu=4, mutation=MutationOperator("heavy_tailed", 1.1),
+                     max_iterations=400, stop_at_coverage=False),
+            ),
+            (MOJZJ8, dict(algo="gsemo", seed=8)),
+            (
+                ProblemInstance.oneminmax(64),
+                dict(algo="gsemo", seed=9, mutation=MutationOperator("heavy_tailed", 1.1),
+                     max_iterations=400, stop_at_coverage=False),
+            ),
+        ],
+        ids=["sms", "sms-stochastic-capped", "sms-stochastic", "sms-heavy", "sms-heavy-btpe",
+             "gsemo", "gsemo-heavy-btpe-capped"],
+    )
+    def test_end_state_matches_reference_run(self, inst, kw, monkeypatch):
+        # the binomial constants the decoder computes; None marks a BTPE draw
+        constants = []
+        real = variation._inversion_constants
+
+        def recorded(n, p):
+            constants.append(real(n, p))
+            return constants[-1]
+
+        monkeypatch.setattr(variation, "_inversion_constants", recorded)
+        c = cfg(**kw)
+        ours, twin = np.random.default_rng(c.seed), np.random.default_rng(c.seed)
+        run, reference = (
+            (gsemo_run, reference_gsemo_run) if c.algo == "gsemo"
+            else (sms_emoa_run, reference_sms_emoa_run)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(inst, c, ours) == reference(inst, c, twin)
+        assert ours.bit_generator.state == twin.bit_generator.state
+        assert (None in constants) == (inst.n == 64)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM]
+    )
+    def test_other_bit_generators_rejected(self, bit_generator):
+        for run, c in ((sms_emoa_run, cfg(seed=0)), (gsemo_run, cfg(algo="gsemo", seed=0))):
+            rng = np.random.Generator(bit_generator(0))
+            with pytest.raises(ValueError, match=bit_generator.__name__):
+                run(MOJZJ8, c, rng)
+            # rejected before any draw
+            assert rng.random() == np.random.Generator(bit_generator(0)).random()
 
 
 class TestDispatchAndCoverage:

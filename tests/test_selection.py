@@ -19,6 +19,7 @@ from emoabench.selection import (
     hypervolume,
     min_contribution_indices,
 )
+from emoabench.variation import Draws
 
 
 def fronts_of(*objectives):
@@ -32,6 +33,12 @@ def half_sample(rng, size):
     for d in rng.integers(size, size=size // 2).tolist():
         mask |= 1 << d
     return mask
+
+
+def choose(sel, rng, eligible=None):
+    """``sel.choose_removal`` drawing from the numpy generator ``rng``."""
+    with Draws(rng) as draws:
+        return sel.choose_removal(draws, eligible)
 
 
 def slot_vectors(sel):
@@ -209,7 +216,7 @@ class TestRemovalChoice:
 
     def test_choose_removal_standard(self):
         sel = selector((0, 2), (1, 1), (2, 0), (0, 0))
-        removed = sel.choose_removal(np.random.default_rng(0))
+        removed = choose(sel, np.random.default_rng(0))
         assert sel.commit_removal(removed) == (0, 0)
         assert sel.free == removed  # its slot takes the next offspring
 
@@ -220,7 +227,7 @@ class TestRemovalChoice:
         for s in range(50):
             rng = np.random.default_rng(s)
             eligible = half_sample(rng, 2)
-            removed = sel.choose_removal(rng, eligible)
+            removed = choose(sel, rng, eligible)
             assert eligible == 1 << removed
             seen.add(slot_vectors(sel)[removed])
         assert seen == {(0, 2), (2, 0)}
@@ -233,10 +240,10 @@ class TestRemovalChoice:
         )
         sel = selector((0, 3), (1, 1), (3, 0), (1, 1), (2, 2))
         for s in range(20):
-            removed = sel.choose_removal(np.random.default_rng(s), 0b11011)
+            removed = choose(sel, np.random.default_rng(s), 0b11011)
             assert slot_vectors(sel)[removed] == (1, 1)
         assert calls == []
-        removed = sel.choose_removal(np.random.default_rng(0), 0b00111)
+        removed = choose(sel, np.random.default_rng(0), 0b00111)
         assert (slot_vectors(sel)[removed], calls) == ((1, 1), [[(0, 3), (1, 1), (3, 0)]])
 
     def test_stochastic_can_spare_the_worst(self):
@@ -245,7 +252,7 @@ class TestRemovalChoice:
         spared = 0
         for s in range(300):
             rng = np.random.default_rng(s)
-            spared += sel.choose_removal(rng, half_sample(rng, 4)) != 1
+            spared += choose(sel, rng, half_sample(rng, 4)) != 1
         assert spared > 100
 
 
@@ -261,7 +268,7 @@ class TestSteadyStateSelector:
             sel = SteadyStateSelector(pts[:-1], r, ValueIndex(len(r)))
             sel.set_offspring(pts[-1])
             for s in range(40):
-                a = sel.choose_removal(np.random.default_rng(s))
+                a = choose(sel, np.random.default_rng(s))
                 b = select_removal_index(arr, r, np.random.default_rng(s))
                 assert a == b
 
@@ -280,7 +287,7 @@ class TestSteadyStateSelector:
             for i in sub:
                 mask |= 1 << i
             for s in range(30):
-                a = sel.choose_removal(np.random.default_rng(s), mask)
+                a = choose(sel, np.random.default_rng(s), mask)
                 # the reference returns the index in the full array already
                 b = select_removal_index(arr, r, np.random.default_rng(s), sub)
                 assert a == b
@@ -330,7 +337,7 @@ class TestSteadyStateSelector:
                 fresh = SteadyStateSelector(slot_vectors(sel), sel.r, ValueIndex(m))
                 width = [len(col) for col in fresh.index.at]
                 assert live_index(sel, width) == live_index(fresh, width)
-                removed = sel.choose_removal(rng)
+                removed = choose(sel, rng)
                 vector = slot_vectors(sel)[removed]
                 gone = sel.commit_removal(removed)
                 rest = slot_vectors(sel)
@@ -386,7 +393,7 @@ class TestSteadyStateSelector:
         arr = np.array(slot_vectors(sel), dtype=np.int64)
         for s in range(20):
             # the last front {(0, 2), (2, 0)} is decided by hypervolume
-            assert sel.choose_removal(np.random.default_rng(s)) == select_removal_index(
+            assert choose(sel, np.random.default_rng(s)) == select_removal_index(
                 arr, r, np.random.default_rng(s)
             )
 
@@ -409,7 +416,7 @@ class TestSteadyStateSelector:
         for k, obj in enumerate(offspring, 1):
             sel.set_offspring(obj)
             assert calls == offspring[:k]
-            sel.commit_removal(sel.choose_removal(rng))
+            sel.commit_removal(choose(sel, rng))
 
     def test_owns_the_slot_vectors(self):
         # the caller's list is neither kept nor written: the selector is the
@@ -420,7 +427,7 @@ class TestSteadyStateSelector:
         sel.set_offspring((0, 0))
         assert members == [(0, 2), (2, 0), (1, 1)] and sel.free == 3
         members[0] = (5, 5)
-        removed = sel.choose_removal(np.random.default_rng(0))
+        removed = choose(sel, np.random.default_rng(0))
         assert removed == 3 and sel.commit_removal(removed) == (0, 0)
         # a removal that leaves its vector present returns None
         sel.set_offspring((1, 1))
@@ -502,7 +509,7 @@ class TestSteadyStateSelector:
                 eligible = sorted({int(d) for d in rng.integers(len(pop), size=len(pop) // 2)})
                 mask = sum(1 << s for s in eligible)
             seed = int(rng.integers(2**32))
-            removed = sel.choose_removal(np.random.default_rng(seed), mask)
+            removed = choose(sel, np.random.default_rng(seed), mask)
             expected = select_removal_index(
                 np.array(pop, dtype=np.int64), r, np.random.default_rng(seed), eligible
             )
@@ -538,7 +545,7 @@ class TestSteadyStateSelector:
                 )
                 eligible = sorted(set(draws))
                 mask = sum(1 << i for i in eligible)
-            a = sel.choose_removal(sel_rng, mask)
+            a = choose(sel, sel_rng, mask)
             b = select_removal_index(np.array(pop, dtype=np.int64), r, ref_rng, eligible)
             assert a == b, f"step {step}"
             sel.commit_removal(a)
