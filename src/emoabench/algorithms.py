@@ -125,7 +125,8 @@ def run_limits(inst: ProblemInstance, cfg: AlgorithmConfig) -> tuple[int, int]:
     100x the closed-form bound of the run's theorem at that mu ("gsemo",
     else "spu" for the stochastic update and "sms").  omm and lotz use their
     own bound whatever the theorem (GSEMO's at its auto mu n+1), and momm
-    uses that of its gap-1 relative mojzj(n, m, 1)."""
+    uses the mojzj bound at gap k = 1, which is defined at every block
+    length, n' = 1 included."""
     mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
     if cfg.max_iterations is not None:
         return mu, cfg.max_iterations
@@ -133,8 +134,8 @@ def run_limits(inst: ProblemInstance, cfg: AlgorithmConfig) -> tuple[int, int]:
         value = bounds.bound_value(inst.kind, inst, mu)
     else:
         theorem = "gsemo" if cfg.algo == "gsemo" else "spu" if cfg.update == "stochastic" else "sms"
-        ref = inst if inst.kind == "mojzj" else ProblemInstance.mojzj(inst.n, inst.m, 1)
-        value = bounds.bound_value(theorem, ref, mu)
+        k = inst.k if inst.kind == "mojzj" else 1
+        value = bounds.jump_bound(theorem, inst.n, inst.m, k, mu)
     return mu, max(1, int(100 * value))
 
 

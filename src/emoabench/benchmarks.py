@@ -10,8 +10,25 @@ to the block and to its complement.  The Pareto front has the closed form
 generated by :meth:`ProblemInstance.pareto_front`, of size (n' - 2k + 3)^(m/2).
 
 A block's objective pair depends only on its ones-count, so each mojzj and
-momm instance tabulates the n'+1 possible pairs once and
-:meth:`ProblemInstance.evaluate_mask` reads one entry per block.
+momm instance tabulates the n'+1 possible pairs once and the per-kind
+evaluation reads one entry per block.
+
+An instance with n <= TABLE_BITS (16) evaluates a genome by one lookup
+instead: its first evaluation runs the per-kind code over all 2^n genomes
+and keeps the vectors in a tuple indexed by the packed genome, each
+distinct vector stored once, so the run loops' dicts keyed by vector meet
+one object per value.  Equal instances share the table, built once per
+process like :meth:`ProblemInstance.pareto_front`'s front.  It is not
+pickled, so a problem sent to a pool worker stays a few dozen bytes, and
+neither the constructor nor the front or the bounds build it, so parsing a
+problem and sizing its run cost what they did without it.
+
+Why 16: at n = 16 the table holds 2^16 references, 0.5 MiB per distinct
+problem, and its build (one per-kind evaluation per genome) takes about
+0.04-0.1 s at m = 8.  At n = 20 it would take 8 MiB in every process that
+evaluates the problem, against about 68 MiB of peak memory for a whole
+omm n=20 batch, and 2^20 evaluations to build, so larger instances keep the
+per-kind code, inline in :meth:`ProblemInstance.evaluate_mask`.
 """
 
 from __future__ import annotations
@@ -25,6 +42,9 @@ from .core import ObjectiveVector
 # each kind's problem-spec parameters, in the order ``str`` writes them
 PARAMS = {"mojzj": ("n", "m", "k"), "momm": ("n", "m"), "omm": ("n",), "lotz": ("n",)}
 KINDS = tuple(PARAMS)
+# genome length up to which an instance evaluates through a table of all its
+# objective vectors
+TABLE_BITS = 16
 
 
 def jump_value(ones: int, nprime: int, k: int) -> int:
@@ -52,8 +72,11 @@ class ProblemInstance:
     kind: one of "mojzj", "momm", "omm", "lotz".
     k is the gap size and only meaningful for mojzj.
     For mojzj and momm, ``_pair_table[c]`` is the objective pair of a block
-    with c ones; it is derived from the parameters, so it takes no part in
-    equality, hashing or repr.
+    with c ones.  When n <= TABLE_BITS (16), ``_table[mask]`` is the
+    objective vector of each genome: 2^n references, at most 0.5 MiB, shared
+    by equal instances.  It is ``()`` until the first evaluation builds it,
+    and None above the threshold.  Both are derived from the parameters, so
+    they take no part in equality, hashing, repr or pickling.
     """
 
     kind: str
@@ -63,6 +86,7 @@ class ProblemInstance:
     _pair_table: tuple[tuple[int, int], ...] | None = field(
         init=False, compare=False, repr=False
     )
+    _table: tuple[ObjectiveVector, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -95,6 +119,11 @@ class ProblemInstance:
         else:
             table = None
         object.__setattr__(self, "_pair_table", table)
+        object.__setattr__(self, "_table", () if self.n <= TABLE_BITS else None)
+
+    def __reduce__(self):
+        # the parameters alone: unpickling validates them and derives the rest
+        return type(self), (self.kind, self.n, self.m, self.k)
 
     @property
     def nprime(self) -> int:
@@ -130,12 +159,21 @@ class ProblemInstance:
     def evaluate_mask(self, mask: int) -> ObjectiveVector:
         """Objective vector of a packed genome of n bits.
 
-        mojzj and momm take one step per block: shift, popcount, and look up
-        the block's objective pair in the instance's table.
+        With n <= TABLE_BITS (16) this is one lookup in the table of every
+        genome's vector, which the first evaluation of the problem in this
+        process builds (2^n references, at most 0.5 MiB).  Above that, mojzj
+        and momm take one step per block: shift, popcount, and look up the
+        block's objective pair.
         """
         n = self.n
         if mask >> n:  # also catches a negative mask
             raise ValueError(f"genome {mask:#x} does not fit in n={n} bits")
+        table = self._table
+        if table is not None:
+            if not table:
+                table = _objective_table(self)
+                object.__setattr__(self, "_table", table)
+            return table[mask]
         table = self._pair_table
         if table is not None:
             np_ = 2 * n // self.m
@@ -170,6 +208,25 @@ class ProblemInstance:
 
     def __str__(self) -> str:
         return f"{self.kind}:" + ",".join(f"{p}={getattr(self, p)}" for p in PARAMS[self.kind])
+
+
+# the per-kind code itself, so that building a table does not go through the
+# class attribute, which a caller may wrap to count evaluations
+_evaluate_by_kind = ProblemInstance.evaluate_mask
+
+
+@lru_cache(maxsize=None)
+def _objective_table(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
+    """Every genome's objective vector, indexed by the packed genome, with
+    equal vectors stored as one tuple object."""
+    by_kind = ProblemInstance(inst.kind, inst.n, inst.m, inst.k)
+    object.__setattr__(by_kind, "_table", None)  # evaluate by the per-kind code
+    size = 1 << inst.n
+    canonical: dict[ObjectiveVector, ObjectiveVector] = {}
+    return tuple([
+        canonical.setdefault(v, v)
+        for v in map(_evaluate_by_kind, itertools.repeat(by_kind, size), range(size))
+    ])
 
 
 def _require_mojzj(inst: ProblemInstance) -> None:

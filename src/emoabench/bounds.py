@@ -44,19 +44,30 @@ def bound_value(theorem: str, inst: ProblemInstance, mu: int) -> float:
     if theorem in ("sms", "spu", "gsemo"):
         if inst.kind != "mojzj":
             raise ValueError(f"theorem {theorem!r} applies to mojzj instances only")
-        m, k, np_ = inst.m, inst.k, inst.nprime
-        big_m = inst.pareto_front().size
-        inner = (np_ - 2 * k + 1) ** (m // 2)
-        first_inner = e * (m * k / 2) ** k * (1 + math.log(m))
-        if theorem == "sms":
-            return mu * first_inner + e * mu * big_m * n**k
-        if theorem == "gsemo":
-            mbar = incomparable_upper_bound(inst)
-            return mbar * first_inner + e * big_m * mbar * n**k
-        factor = min(1.0, 4 * e * mu / 2**k)
-        return (
-            mu * first_inner
-            + e * n * mu * inner
-            + e * mu * (big_m - inner) * n**k * factor
-        )
+        return jump_bound(theorem, n, inst.m, inst.k, mu)
     raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+
+
+def jump_bound(theorem: str, n: int, m: int, k: int, mu: int) -> float:
+    """The mojzj bound of theorem "sms", "spu" or "gsemo" at (n, m, k).
+
+    The parameters need not form a mojzj instance: momm's iteration cap
+    reads the gap-1 bound, also at block length n' = 1, where k = 1 exceeds
+    the largest gap n'/2.
+    """
+    e = math.e
+    np_ = 2 * n // m
+    big_m = (np_ - 2 * k + 3) ** (m // 2)
+    inner = (np_ - 2 * k + 1) ** (m // 2)
+    first_inner = e * (m * k / 2) ** k * (1 + math.log(m))
+    if theorem == "sms":
+        return mu * first_inner + e * mu * big_m * n**k
+    if theorem == "gsemo":
+        mbar = (np_ + 1) ** (m // 2)
+        return mbar * first_inner + e * big_m * mbar * n**k
+    factor = min(1.0, 4 * e * mu / 2**k)
+    return (
+        mu * first_inner
+        + e * n * mu * inner
+        + e * mu * (big_m - inner) * n**k * factor
+    )

@@ -19,7 +19,7 @@ from emoabench.algorithms import (
     sms_emoa_run,
 )
 from emoabench.benchmarks import ProblemInstance, inner_level
-from emoabench.bounds import bound_value
+from emoabench.bounds import bound_value, jump_bound
 from emoabench.core import weakly_dominates
 from emoabench.harness import ExperimentSpec, run_experiment
 from emoabench.oracle import reference_gsemo_run, reference_sms_emoa_run
@@ -99,6 +99,19 @@ class TestConfig:
                 ("sms", gap1, 7), ("spu", gap1, 7), ("gsemo", gap1, 9), ("omm", omm, 11),
             )
         ]
+
+    @pytest.mark.parametrize("run, c, theorem", [
+        (sms_emoa_run, cfg(seed=3), "sms"), (gsemo_run, cfg(algo="gsemo", seed=3), "gsemo"),
+    ], ids=["sms_emoa", "gsemo"])
+    @pytest.mark.parametrize(
+        "inst", [ProblemInstance.momm(2, 4), ProblemInstance.momm(3, 6)], ids=str
+    )
+    def test_momm_with_block_length_one_runs_under_auto_cap(self, run, c, theorem, inst):
+        # the gap-1 bound exists at n' = 1, where no mojzj instance has k = 1
+        mu, cap = run_limits(inst, c)
+        assert cap == int(100 * jump_bound(theorem, inst.n, inst.m, 1, mu))
+        rec = run(inst, c)
+        assert not rec.censored and rec.iterations <= cap
 
     def test_mismatched_algo_rejected(self):
         with pytest.raises(ValueError):

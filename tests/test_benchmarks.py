@@ -6,13 +6,17 @@ pinned.
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from emoabench.algorithms import AlgorithmConfig, auto_mu, run_limits
 from emoabench.benchmarks import (
+    TABLE_BITS,
     ProblemInstance,
+    _objective_table,
     incomparable_family,
     incomparable_family_instance,
     inner_level,
@@ -27,6 +31,25 @@ from emoabench.core import incomparable
 def bits(s):
     """Packed genome of a bit-string literal: position i+1 is bit i."""
     return int(s[::-1], 2)
+
+
+def by_definition(inst, mask):
+    """Objective vector of a packed genome, read position by position from
+    the benchmark definitions."""
+    string = [(mask >> i) & 1 for i in range(inst.n)]
+    if inst.kind == "lotz":
+        leading = (string + [0]).index(0)
+        trailing = ([1] + string)[::-1].index(1)
+        return (leading, trailing)
+    np_, k = inst.nprime, inst.k
+    out = []
+    for b in range(inst.m // 2):
+        c = sum(string[b * np_ : (b + 1) * np_])
+        if inst.kind == "mojzj":
+            out += [jump_value(c, np_, k), jump_value(np_ - c, np_, k)]
+        else:  # momm, and omm as its one-block case
+            out += [np_ - c, c]
+    return tuple(out)
 
 
 class TestJump:
@@ -109,13 +132,19 @@ class TestEvaluators:
 
     @pytest.mark.parametrize(
         "inst",
-        [ProblemInstance.oneminmax(4), ProblemInstance.lotz(4), ProblemInstance.mojzj(4, 4, 1)],
+        [
+            ProblemInstance.oneminmax(4),
+            ProblemInstance.lotz(4),
+            ProblemInstance.mojzj(4, 4, 1),
+            ProblemInstance.momm(20, 4),  # above TABLE_BITS: the per-kind path
+        ],
         ids=str,
     )
     def test_genome_must_fit_in_n_bits(self, inst):
-        assert inst.evaluate_mask((1 << 4) - 1)
-        for mask in (1 << 4, 0b11111, (1 << 40) | 1, -1):
-            with pytest.raises(ValueError, match="n=4"):
+        n = inst.n
+        assert inst.evaluate_mask((1 << n) - 1)
+        for mask in (1 << n, (1 << n + 1) - 1, (1 << 40) | 1, -1):
+            with pytest.raises(ValueError, match=f"n={n}"):
                 inst.evaluate_mask(mask)
 
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
@@ -144,37 +173,78 @@ class TestEvaluators:
             ProblemInstance.mojzj(16, 8, 1),
             ProblemInstance.momm(8, 4),
             ProblemInstance.momm(12, 6),
+            ProblemInstance.oneminmax(16),
+            ProblemInstance.lotz(16),
         ],
         ids=str,
     )
     def test_block_table_matches_definition_on_every_mask(self, inst):
-        np_, k = inst.nprime, inst.k
+        assert inst.n <= TABLE_BITS
         for mask in range(1 << inst.n):
-            expected = []
-            for b in range(inst.m // 2):
-                c = sum((mask >> i) & 1 for i in range(b * np_, (b + 1) * np_))
-                if inst.kind == "mojzj":
-                    expected += [jump_value(c, np_, k), jump_value(np_ - c, np_, k)]
-                else:
-                    expected += [np_ - c, c]
-            assert inst.evaluate_mask(mask) == tuple(expected)
+            assert inst.evaluate_mask(mask) == by_definition(inst, mask)
 
     @pytest.mark.parametrize(
         "inst",
-        [ProblemInstance.mojzj(12, 4, 2), ProblemInstance.momm(12, 6), ProblemInstance.lotz(7)],
+        [
+            ProblemInstance.mojzj(20, 8, 2),
+            ProblemInstance.mojzj(18, 2, 4),
+            ProblemInstance.momm(18, 6),
+            ProblemInstance.oneminmax(17),
+            ProblemInstance.lotz(19),
+            ProblemInstance.lotz(20),
+        ],
+        ids=str,
+    )
+    def test_per_kind_path_matches_definition_above_table_bits(self, inst):
+        assert inst.n > TABLE_BITS
+        n, rng = inst.n, random.Random(inst.n)
+        # the extremes and a run of leading ones reach lotz's edge cases
+        masks = [0, (1 << n) - 1, (1 << n - 1) - 1, 1 << n - 1]
+        masks += [rng.getrandbits(n) for _ in range(2000)]
+        for mask in masks:
+            assert inst.evaluate_mask(mask) == by_definition(inst, mask)
+        assert inst._table is None
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance.mojzj(12, 4, 2),
+            ProblemInstance.momm(12, 6),
+            ProblemInstance.lotz(7),
+            ProblemInstance.oneminmax(20),
+        ],
         ids=str,
     )
     def test_block_table_is_not_part_of_identity(self, inst):
+        fresh_size = len(pickle.dumps(ProblemInstance(inst.kind, inst.n, inst.m, inst.k)))
+        value = inst.evaluate_mask(0b101101)  # builds the table when n <= TABLE_BITS
         twin = ProblemInstance(inst.kind, inst.n, inst.m, inst.k)
         assert twin == inst and hash(twin) == hash(inst)
         assert hash(inst) == hash((inst.kind, inst.n, inst.m, inst.k))
         assert repr(inst) == (
             f"ProblemInstance(kind={inst.kind!r}, n={inst.n}, m={inst.m}, k={inst.k!r})"
         )
+        assert len(pickle.dumps(inst)) == fresh_size
         copy = pickle.loads(pickle.dumps(inst))
         assert copy == inst and hash(copy) == hash(inst) and repr(copy) == repr(inst)
-        assert copy.evaluate_mask(0b101101) == inst.evaluate_mask(0b101101)
+        assert copy.evaluate_mask(0b101101) == value
         assert ProblemInstance.mojzj(12, 4, 1) != ProblemInstance.mojzj(12, 4, 2)
+
+    def test_table_is_built_on_first_evaluation_once_per_problem(self):
+        cache_before = _objective_table.cache_info()
+        inst = ProblemInstance.mojzj(16, 4, 3)  # n = TABLE_BITS: the largest tabulated
+        inst.pareto_front()
+        auto_mu(inst)
+        run_limits(inst, AlgorithmConfig())
+        assert _objective_table.cache_info() == cache_before
+        assert inst._table == ()
+        low = inst.evaluate_mask(0b01)
+        twin = ProblemInstance.mojzj(16, 4, 3)
+        assert twin.evaluate_mask(0b01) is low
+        assert twin._table is inst._table and len(inst._table) == 1 << 16
+        # the same block counts give one vector object, whatever the mask
+        assert inst.evaluate_mask(0b10) is low and inst.evaluate_mask(1 << 7) is low
+        assert len({id(v) for v in inst._table}) == len(set(inst._table))
 
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1))
     def test_lotz_matches_definition(self, mask):
