@@ -18,9 +18,9 @@ def show_front(n: int, m: int, k: int) -> None:
     front = inst.pareto_front()
     nprime = 2 * n // m
     formula = (nprime - 2 * k + 3) ** (m // 2)
-    print(f"n={n} m={m} k={k}: front size {len(front.points)} "
+    print(f"n={n} m={m} k={k}: front size {len(front)} "
           f"(formula {formula})")
-    for pt in sorted(front.points):
+    for pt in sorted(front):
         print(f"  {pt}")
 
 
@@ -28,7 +28,7 @@ def show_incomparable(nprime: int, count: int) -> None:
     family = incomparable_family(nprime, count)
     inst = incomparable_family_instance(nprime)
     print(f"\nblock length {nprime}, k={inst.k}: {len(family)} mutually incomparable "
-          f"inner points vs front size {inst.pareto_front().size}")
+          f"inner points vs front size {len(inst.pareto_front())}")
     for x in family:
         # bit i of the packed genome is position i+1 of the string
         bits = format(x, f"0{inst.n}b")[::-1]

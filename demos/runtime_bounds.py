@@ -17,7 +17,7 @@ from emoabench import (
     summarize,
 )
 from emoabench.algorithms import run_limits
-from emoabench.harness import applicable_theorems
+from emoabench.bounds import proven_theorem
 
 
 def run_case(name: str, inst: ProblemInstance, cfg: AlgorithmConfig,
@@ -29,8 +29,9 @@ def run_case(name: str, inst: ProblemInstance, cfg: AlgorithmConfig,
     mu, _ = run_limits(inst, cfg)
     line = (f"{name:<14} mu={mu:<3} reps={reps:<4} "
             f"mean={s.mean_iterations:9.1f} +-{s.ci_half_width:7.1f}")
-    for theorem in applicable_theorems(inst, cfg):
-        line += f"  {theorem} bound {bound_value(theorem, inst, mu):.3e}"
+    proven = proven_theorem(inst.kind, cfg.algo, cfg.update, cfg.mutation.kind)
+    if proven is not None:
+        line += f"  {proven} bound {bound_value(proven, inst, mu):.3e}"
     print(line)
 
 

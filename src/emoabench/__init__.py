@@ -3,7 +3,6 @@ benchmarks, with exact brute-force oracles and a runtime-experiment harness."""
 
 from .algorithms import AlgorithmConfig, RunRecord, auto_mu, gsemo_run, sms_emoa_run
 from .benchmarks import (
-    FrontDescriptor,
     ProblemInstance,
     incomparable_family,
     inner_level,
@@ -26,7 +25,7 @@ from .variation import MutationOperator, PowerLawDistribution
 
 __all__ = [
     "AlgorithmConfig", "RunRecord", "auto_mu", "gsemo_run", "sms_emoa_run",
-    "FrontDescriptor", "ProblemInstance", "incomparable_family", "inner_level",
+    "ProblemInstance", "incomparable_family", "inner_level",
     "is_inner_pareto_optimum", "is_pareto_optimal", "parse_problem",
     "bound_value",
     "ObjectiveVector", "dominates", "incomparable", "weakly_dominates",

@@ -122,21 +122,11 @@ def auto_mu(inst: ProblemInstance, update: str = "standard") -> int:
 
 def run_limits(inst: ProblemInstance, cfg: AlgorithmConfig) -> tuple[int, int]:
     """(mu, iteration cap) of a run: the config's values, else auto mu and
-    100x the closed-form bound of the run's theorem at that mu ("gsemo",
-    else "spu" for the stochastic update and "sms").  omm and lotz use their
-    own bound whatever the theorem (GSEMO's at its auto mu n+1), and momm
-    uses the mojzj bound at gap k = 1, which is defined at every block
-    length, n' = 1 included."""
+    100x :func:`bounds.cap_bound` at that mu."""
     mu = cfg.mu if cfg.mu is not None else auto_mu(inst, cfg.update)
     if cfg.max_iterations is not None:
         return mu, cfg.max_iterations
-    if inst.kind in ("omm", "lotz"):
-        value = bounds.bound_value(inst.kind, inst, mu)
-    else:
-        theorem = "gsemo" if cfg.algo == "gsemo" else "spu" if cfg.update == "stochastic" else "sms"
-        k = inst.k if inst.kind == "mojzj" else 1
-        value = bounds.jump_bound(theorem, inst.n, inst.m, k, mu)
-    return mu, max(1, int(100 * value))
+    return mu, max(1, int(100 * bounds.cap_bound(inst, cfg.algo, cfg.update, mu)))
 
 
 def _random_masks(n: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -190,7 +180,7 @@ class _CoverageTracker:
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self.front = inst.pareto_front().points
+        self.front = inst.pareto_front()
         self.facts = _problem_memo(inst)[1]
         self.levels = [0] * (inst.m // 2 + 1)
         self.covered = 0
@@ -339,11 +329,13 @@ def gsemo_run(
     index = _problem_memo(inst)[0]
     ids, strict = index.ids, index.strict
 
-    # the parent draw indexes insertion order: survivors, then the child
+    # the parent draw indexes insertion order: survivors, then the child;
+    # ``parents`` lists the archive's genomes in it, renewed on acceptance
     draws = Draws(rng)  # rejects a generator other than PCG64 before any draw
     start = _random_masks(n, 1, rng)[0]
     sobj = inst.evaluate_mask(start)
     archive = {sobj: start}
+    parents = [start]
     live = 1 << (ids[sobj] if sobj in ids else index.enter(sobj))
     cov.add(sobj)
     cov.record(0)
@@ -357,7 +349,7 @@ def gsemo_run(
     with draws:
         for t_iter in range(1, max_iters + 1):
             iterations = t_iter
-            parent = list(archive.values())[draws.below(len(archive))]
+            parent = parents[draws.below(len(parents))]
             child = cfg.mutation.mutate_mask(parent, n, draws)
             cobj = inst.evaluate_mask(child)
             i = ids.get(cobj)
@@ -372,6 +364,7 @@ def gsemo_run(
             # an equal member's genome is replaced and moves last
             archive.pop(cobj, None)
             archive[cobj] = child
+            parents = list(archive.values())
             if born or dead:
                 live = sum(1 << ids[p] for p in archive)
                 if born:

@@ -55,17 +55,6 @@ def jump_value(ones: int, nprime: int, k: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class FrontDescriptor:
-    """The Pareto front as an explicit set of objective vectors."""
-
-    points: frozenset[ObjectiveVector]
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True, slots=True)
 class ProblemInstance:
     """Benchmark identity plus parameters; evaluators are pure methods.
 
@@ -192,7 +181,7 @@ class ProblemInstance:
         return (min(leading, self.n), trailing if mask else self.n)
 
     @lru_cache(maxsize=None)
-    def pareto_front(self) -> FrontDescriptor:
+    def pareto_front(self) -> frozenset[ObjectiveVector]:
         """The front as every combination of one Pareto-optimal objective
         pair per block; omm and lotz are the one-block case {(i, n - i)}."""
         np_, k = self.nprime, self.k
@@ -201,10 +190,10 @@ class ProblemInstance:
             pairs = [(a, np_ + 2 * k - a) for a in {k, np_ + k, *range(2 * k, np_ + 1)}]
         else:
             pairs = [(np_ - c, c) for c in range(np_ + 1)]
-        return FrontDescriptor(frozenset(
+        return frozenset(
             tuple(v for pair in combo for v in pair)
             for combo in itertools.product(pairs, repeat=self.m // 2)
-        ))
+        )
 
     def __str__(self) -> str:
         return f"{self.kind}:" + ",".join(f"{p}={getattr(self, p)}" for p in PARAMS[self.kind])

@@ -24,23 +24,41 @@ THEOREMS = ("sms", "spu", "gsemo", "omm", "lotz")
 
 def incomparable_upper_bound(inst: ProblemInstance) -> int:
     """Upper bound on the largest incomparable set (distinct objective values)."""
-    if inst.kind in ("mojzj", "momm"):
-        return (inst.nprime + 1) ** (inst.m // 2)
-    return inst.n + 1
+    return (inst.nprime + 1) ** (inst.m // 2)
+
+
+def proven_theorem(kind: str, algo: str, update: str, mutation: str) -> str | None:
+    """The theorem proven for a run setting, the one map from settings to
+    theorems: SMS-EMOA's own on omm and lotz, and on mojzj the algorithm's
+    and update's under standard mutation; None for any other setting."""
+    if kind in ("omm", "lotz"):
+        return kind if algo == "sms_emoa" else None
+    if kind != "mojzj" or mutation != "standard":
+        return None
+    if algo == "gsemo":
+        return "gsemo"
+    return "spu" if update == "stochastic" else "sms"
+
+
+def cap_bound(inst: ProblemInstance, algo: str, update: str, mu: int) -> float:
+    """The bound a run's auto iteration cap scales: omm's and lotz's own
+    whatever the algorithm, else the mojzj theorem of the algorithm and
+    update whatever the mutation, read at gap k = 1 on momm."""
+    if inst.kind in ("omm", "lotz"):
+        return bound_value(inst.kind, inst, mu)
+    name = proven_theorem("mojzj", algo, update, "standard")
+    return jump_bound(name, inst.n, inst.m, inst.k if inst.kind == "mojzj" else 1, mu)
 
 
 def bound_value(theorem: str, inst: ProblemInstance, mu: int) -> float:
     """Closed-form expected-iteration bound for the given theorem."""
-    e = math.e
     n = inst.n
-    if theorem == "omm":
-        if inst.kind != "omm":
-            raise ValueError(f"theorem 'omm' does not apply to {inst.kind}")
-        return 2 * e * mu * n * (math.log(n) + 1)
-    if theorem == "lotz":
-        if inst.kind != "lotz":
-            raise ValueError(f"theorem 'lotz' does not apply to {inst.kind}")
-        return 2 * e * mu * n * n
+    if theorem in ("omm", "lotz"):
+        if inst.kind != theorem:
+            raise ValueError(f"theorem {theorem!r} does not apply to {inst.kind}")
+        if theorem == "omm":
+            return 2 * math.e * mu * n * (math.log(n) + 1)
+        return 2 * math.e * mu * n * n
     if theorem in ("sms", "spu", "gsemo"):
         if inst.kind != "mojzj":
             raise ValueError(f"theorem {theorem!r} applies to mojzj instances only")
@@ -49,12 +67,8 @@ def bound_value(theorem: str, inst: ProblemInstance, mu: int) -> float:
 
 
 def jump_bound(theorem: str, n: int, m: int, k: int, mu: int) -> float:
-    """The mojzj bound of theorem "sms", "spu" or "gsemo" at (n, m, k).
-
-    The parameters need not form a mojzj instance: momm's iteration cap
-    reads the gap-1 bound, also at block length n' = 1, where k = 1 exceeds
-    the largest gap n'/2.
-    """
+    """The mojzj bound of theorem "sms", "spu" or "gsemo" at (n, m, k), which
+    need not form a mojzj instance (momm's cap reads k = 1 > n'/2 at n' = 1)."""
     e = math.e
     np_ = 2 * n // m
     big_m = (np_ - 2 * k + 3) ** (m // 2)

@@ -38,6 +38,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _int_or_auto(value: str) -> int | None:
+    try:
+        return None if value == "auto" else int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {value!r}")
+
+
+def _int_tuple(value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+
+
 def _config_flags(path: str, keys: set[str]) -> list[str]:
     """A flat key=value config file as ``run`` flags, so argparse checks its
     values as it checks the command line; a key is a long flag name without
@@ -74,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--problem", help="e.g. mojzj:n=8,m=4,k=2 | omm:n=20 | lotz:n=20")
     run_p.add_argument("--algo", choices=list(ALGOS), default="sms")
-    run_p.add_argument("--mu", default="auto", help="population size or 'auto'")
+    run_p.add_argument("--mu", type=_int_or_auto, default="auto", help="population size or 'auto'")
     run_p.add_argument("--mutation", choices=["standard", "heavy"], default="standard")
     run_p.add_argument("--beta", type=float, help="power-law exponent, heavy mutation only (1.5)")
     run_p.add_argument("--update", choices=["standard", "stochastic"], default="standard")
     run_p.add_argument(
-        "--refpoint", default=None,
+        "--refpoint", type=_int_tuple, default=None,
         help=(
             "hypervolume reference point as comma-separated ints (default all -1); "
             "write it as --refpoint=-2,-2, since argparse takes a bare -2,-2 for a flag"
@@ -87,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--reps", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=0, help="master seed")
-    run_p.add_argument("--max-iters", default="auto", help="iteration cap or 'auto'")
+    run_p.add_argument(
+        "--max-iters", type=_int_or_auto, default="auto", help="iteration cap or 'auto'"
+    )
     run_p.add_argument("--out", default=None, help="CSV output path")
     run_p.add_argument("--bounds", action="store_true", help="print the bound report")
     run_p.add_argument("--jobs", type=int, default=None, help="parallel workers (>= 1)")
@@ -113,17 +129,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mutation = MutationOperator("heavy_tailed", 1.5 if args.beta is None else args.beta)
     else:
         mutation = MutationOperator("standard", args.beta)
-    refpoint = (
-        tuple(int(v) for v in args.refpoint.split(",")) if args.refpoint is not None else None
-    )
     cfg = AlgorithmConfig(
         algo=ALGOS[args.algo],
-        mu=None if args.mu == "auto" else int(args.mu),
+        mu=args.mu,
         mutation=mutation,
         update=args.update,
-        max_iterations=None if args.max_iters == "auto" else int(args.max_iters),
+        max_iterations=args.max_iters,
         seed=args.seed,
-        refpoint=refpoint,
+        refpoint=args.refpoint,
     )
     spec = ExperimentSpec(
         problem=inst, config=cfg, repetitions=args.reps, master_seed=args.seed,
@@ -132,7 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rows, report = run_experiment(spec, jobs=args.jobs)
     summary = summarize(rows)
     print(
-        f"problem={inst} algo={cfg.algo} mu={args.mu} mutation={mutation.kind} "
+        f"problem={inst} algo={cfg.algo} mu={cfg.mu or 'auto'} mutation={mutation.kind} "
         f"update={cfg.update}"
     )
     print(
@@ -176,9 +189,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_front(args: argparse.Namespace) -> int:
     inst = parse_problem(args.problem)
     front = inst.pareto_front()
-    for point in sorted(front.points):
+    for point in sorted(front):
         print(",".join(str(v) for v in point))
-    print(f"# size={front.size}", file=sys.stderr)
+    print(f"# size={len(front)}", file=sys.stderr)
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds
-from .algorithms import AlgorithmConfig, RunRecord, gsemo_run, run_limits, sms_emoa_run
+from .algorithms import AlgorithmConfig, gsemo_run, run_limits, sms_emoa_run
 from .benchmarks import ProblemInstance
 
 CSV_HEADER = [
@@ -100,20 +100,6 @@ class Summary:
     ci_half_width: float
 
 
-def applicable_theorems(inst: ProblemInstance, cfg: AlgorithmConfig) -> list[str]:
-    if inst.kind == "omm":
-        return ["omm"] if cfg.algo == "sms_emoa" else []
-    if inst.kind == "lotz":
-        return ["lotz"] if cfg.algo == "sms_emoa" else []
-    if inst.kind == "mojzj":
-        if cfg.mutation.kind == "heavy_tailed":
-            return []  # every mojzj closed form assumes standard 1/n mutation
-        if cfg.algo == "gsemo":
-            return ["gsemo"]
-        return ["spu"] if cfg.update == "stochastic" else ["sms"]
-    return []
-
-
 def _one_rep(
     args: tuple[ProblemInstance, AlgorithmConfig, int]
 ) -> tuple[int, int, int, bool, float]:
@@ -122,18 +108,12 @@ def _one_rep(
     config."""
     inst, cfg, rep = args
     rng = np.random.default_rng([cfg.seed, rep])
+    run = gsemo_run if cfg.algo == "gsemo" else sms_emoa_run
     start = time.perf_counter()
-    record: RunRecord
-    if cfg.algo == "gsemo":
-        record = gsemo_run(inst, cfg, rng)
-    else:
-        record = sms_emoa_run(inst, cfg, rng)
+    record = run(inst, cfg, rng)
     elapsed = time.perf_counter() - start
-    iterations = (
-        record.iterations_to_coverage
-        if record.iterations_to_coverage is not None
-        else record.iterations
-    )
+    hit = record.iterations_to_coverage
+    iterations = record.iterations if hit is None else hit
     return rep, iterations, record.evaluations, record.censored, elapsed
 
 
@@ -154,18 +134,19 @@ def summarize(rows: Sequence[ResultRow]) -> Summary:
 def build_bound_report(
     spec: ExperimentSpec, rows: Sequence[ResultRow]
 ) -> tuple[BoundRow, ...]:
-    summary = summarize(rows)
+    """The row of the theorem proven for the spec's setting, if any."""
     inst, cfg = spec.problem, spec.config
+    theorem = bounds.proven_theorem(inst.kind, cfg.algo, cfg.update, cfg.mutation.kind)
+    if theorem is None:
+        return ()
+    summary = summarize(rows)
     mu, _ = run_limits(inst, cfg)
-    out = []
-    for theorem in applicable_theorems(inst, cfg):
-        b = bounds.bound_value(theorem, inst, mu)
-        ci = summary.ci_half_width
-        # a NaN mean or CI (fewer than two uncensored repetitions) compares
-        # False, so a row without an interval fails
-        passed = summary.censored == 0 and summary.mean_iterations + ci <= b
-        out.append(BoundRow(theorem, b, summary.mean_iterations, ci, passed))
-    return tuple(out)
+    b = bounds.bound_value(theorem, inst, mu)
+    ci = summary.ci_half_width
+    # a NaN mean or CI (fewer than two uncensored repetitions) compares
+    # False, so a row without an interval fails
+    passed = summary.censored == 0 and summary.mean_iterations + ci <= b
+    return (BoundRow(theorem, b, summary.mean_iterations, ci, passed),)
 
 
 def run_experiment(
@@ -175,14 +156,17 @@ def run_experiment(
     incrementally, and build the bound report if requested.  One job runs
     the repetitions in this process, and no more workers start than there
     are repetitions.  The CSV is created with the first row, so a run that
-    fails before it leaves no file; an output path in a missing directory
-    fails before any repetition runs."""
+    fails before it leaves no file; an output path that is a directory or
+    lies in a missing one fails before any repetition runs, and a failed row
+    cancels the pooled repetitions not yet started."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if spec.out is not None and not spec.out.parent.is_dir():
         raise FileNotFoundError(f"{spec.out}: no such directory {spec.out.parent}")
+    if spec.out is not None and spec.out.is_dir():
+        raise IsADirectoryError(f"{spec.out} is a directory")
     jobs = min(jobs, spec.repetitions)
     # every row shares the spec's problem and one config carrying the
     # master seed, which with the repetition index seeds each stream
@@ -192,6 +176,8 @@ def run_experiment(
     with ExitStack() as stack:
         if jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # on an error, cancel the repetitions not yet started before the pool's exit
+            stack.push(lambda exc_type, *_: exc_type and pool.shutdown(cancel_futures=True))
             results = pool.map(_one_rep, args)
         else:
             results = map(_one_rep, args)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .algorithms import AlgorithmConfig, RunRecord, run_limits
 from .benchmarks import (
-    FrontDescriptor,
     ProblemInstance,
     incomparable_family,
     incomparable_family_instance,
@@ -56,7 +55,9 @@ class OracleBudget:
             raise ValueError(f"at least 1000 samples required, got {self.mc_samples}")
 
 
-def brute_force_front(inst: ProblemInstance, budget: OracleBudget = OracleBudget()) -> FrontDescriptor:
+def brute_force_front(
+    inst: ProblemInstance, budget: OracleBudget = OracleBudget()
+) -> frozenset[ObjectiveVector]:
     """Enumerate all 2^n genomes and keep the non-dominated objective values."""
     if inst.n > budget.max_n_exhaustive:
         raise ValueError(f"n={inst.n} exceeds the exhaustive budget {budget.max_n_exhaustive}")
@@ -66,7 +67,7 @@ def brute_force_front(inst: ProblemInstance, budget: OracleBudget = OracleBudget
         for v in values
         if not any(w != v and weakly_dominates(w, v) for w in values)
     ]
-    return FrontDescriptor(frozenset(front))
+    return frozenset(front)
 
 
 def brute_force_pareto_optimal(mask: int, inst: ProblemInstance, budget: OracleBudget = OracleBudget()) -> bool:
@@ -215,7 +216,7 @@ def _recounted_run(
     hitting time and the best inner level (from the genomes) are recounted
     from the whole population after every iteration.  A loss is a front
     vector held after the offspring joined and not after the iteration."""
-    front = inst.pareto_front().points
+    front = inst.pareto_front()
     population = start
     covered: set[ObjectiveVector] = set()
     trajectory: list[tuple[int, int]] = []
@@ -389,7 +390,7 @@ def run_verification(
         closed = inst.pareto_front()
         brute = brute_force_front(inst, budget)
         expect = (inst.nprime - 2 * inst.k + 3) ** (inst.m // 2)
-        if closed.points != brute.points or closed.size != expect:
+        if closed != brute or len(closed) != expect:
             ok, detail = False, f"front mismatch on {inst}"
             break
     counted = ", ".join(filter(None, (f"{len(cases)} instances", skipped)))

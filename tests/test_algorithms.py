@@ -187,6 +187,18 @@ class TestSteadyStateRun:
         assert (rec.iterations, rec.evaluations) == (10000, 25 + 10000)
         assert rec.coverage_violations == 0
 
+    @pytest.mark.parametrize("inst", [
+        ProblemInstance.oneminmax(8), ProblemInstance.lotz(8), ProblemInstance.momm(8, 4),
+        ProblemInstance.mojzj(8, 2, 2), ProblemInstance.mojzj(8, 4, 1),
+        ProblemInstance.mojzj(8, 4, 2), ProblemInstance.mojzj(12, 6, 1),
+    ], ids=str)
+    def test_standard_update_loses_no_covered_value_at_auto_mu(self, inst):
+        # the survival claim of AlgorithmConfig and RunRecord, on every kind
+        for seed in range(10):
+            c = cfg(seed=seed, max_iterations=5000, stop_at_coverage=False)
+            rec = sms_emoa_run(inst, c)
+            assert (rec.iterations, rec.coverage_violations) == (5000, 0), seed
+
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_matches_reference_run(self, data):
@@ -360,7 +372,7 @@ class TestCoverageTracker:
     def test_random_sequences_match_recount(self, inst):
         """Random add/remove steps against a from-scratch recount of the
         population after every operation."""
-        front = inst.pareto_front().points
+        front = inst.pareto_front()
         hits = falls = 0
         for seed in range(8):
             rng = np.random.default_rng(seed)

@@ -266,26 +266,26 @@ class TestFronts:
     def test_mojzj_front_size_formula(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
         front = inst.pareto_front()
-        assert front.size == 9  # (n' - 2k + 3)^(m/2) with n'=4, k=2
-        assert (6, 2, 2, 6) in front.points
-        assert (4, 4, 4, 4) in front.points
+        assert len(front) == 9  # (n' - 2k + 3)^(m/2) with n'=4, k=2
+        assert (6, 2, 2, 6) in front
+        assert (4, 4, 4, 4) in front
 
     def test_front_values_per_pair(self):
         # n'=6, k=2: attainable first coordinates {2} + [4..6] + {8}
         inst = ProblemInstance.mojzj(6, 2, 2)
-        assert inst.pareto_front().points == {
+        assert inst.pareto_front() == {
             (2, 8), (4, 6), (5, 5), (6, 4), (8, 2)
         }
 
     def test_biobjective_fronts(self):
-        assert ProblemInstance.oneminmax(6).pareto_front().size == 7
-        assert ProblemInstance.lotz(5).pareto_front().points == {
+        assert len(ProblemInstance.oneminmax(6).pareto_front()) == 7
+        assert ProblemInstance.lotz(5).pareto_front() == {
             (i, 5 - i) for i in range(6)
         }
 
     def test_momm_front_is_full_value_grid(self):
         inst = ProblemInstance.momm(8, 4)
-        assert inst.pareto_front().size == 25  # (n'+1)^(m/2)
+        assert len(inst.pareto_front()) == 25  # (n'+1)^(m/2)
 
 
 class TestParetoPredicates:

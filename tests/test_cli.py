@@ -189,6 +189,33 @@ class TestRun:
         assert code == 1
         assert str(out) in capsys.readouterr().err
         assert reps == [] and not out.parent.exists()
+        # an existing directory, pooled or not
+        for jobs in ("1", "2"):
+            code = run_cli(
+                "run", "--problem", "mojzj:n=12,m=4,k=2", "--reps", "2", "--jobs", jobs,
+                "--out", str(tmp_path),
+            )
+            assert code == 1
+            assert f"{tmp_path} is a directory" in capsys.readouterr().err
+            assert reps == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu", "abc"), ("max-iters", "1.5"), ("refpoint", "a,b")],
+        ids=["mu", "max-iters", "refpoint"],
+    )
+    def test_bad_number_names_its_option(self, tmp_path, capsys, key, value, source):
+        if source == "flag":
+            argv = ["--problem", "omm:n=6", f"--{key}={value}"]
+        else:
+            conf = tmp_path / "exp.conf"
+            conf.write_text(f"problem = omm:n=6\n{key} = {value}\n")
+            argv = ["--config", str(conf)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", *argv)
+        assert exc.value.code == 1
+        assert f"error: argument --{key}: " in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -2,11 +2,14 @@
 
 import csv
 import math
+import os
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from emoabench import harness
+from emoabench import bounds, harness
 from emoabench.algorithms import AlgorithmConfig
 from emoabench.benchmarks import ProblemInstance
 from emoabench.bounds import bound_value
@@ -14,7 +17,6 @@ from emoabench.harness import (
     CSV_HEADER,
     ExperimentSpec,
     ResultRow,
-    applicable_theorems,
     build_bound_report,
     run_experiment,
     summarize,
@@ -32,6 +34,21 @@ def cfg(**kw):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def failing_rep(args):
+    """A stand-in repetition for pool workers: rep 0 at once either fails
+    or returns a result no row takes ($REP_FAILURE "raise" or "malformed"),
+    and every other rep marks its start in the directory named by
+    $REP_STARTS, then takes 50 ms."""
+    rep = args[2]
+    if rep == 0:
+        if os.environ["REP_FAILURE"] == "raise":
+            raise RuntimeError("rep 0 failed")
+        return (rep,)
+    (Path(os.environ["REP_STARTS"]) / str(rep)).touch()
+    time.sleep(0.05)
+    return rep, 1, 1, False, 0.0
 
 
 class TestSpec:
@@ -87,17 +104,20 @@ class TestBoundValues:
         with pytest.raises(ValueError):
             bound_value("sms", OMM20, 21)
 
-    def test_applicable_theorems(self):
-        assert applicable_theorems(OMM20, cfg()) == ["omm"]
+    def test_theorem_of_each_setting(self):
+        def proven(inst, c):
+            return bounds.proven_theorem(inst.kind, c.algo, c.update, c.mutation.kind)
+
+        assert proven(OMM20, cfg()) == "omm"
         jz = ProblemInstance.mojzj(8, 4, 2)
-        assert applicable_theorems(jz, cfg()) == ["sms"]
-        assert applicable_theorems(jz, cfg(update="stochastic")) == ["spu"]
-        assert applicable_theorems(jz, cfg(algo="gsemo")) == ["gsemo"]
+        assert proven(jz, cfg()) == "sms"
+        assert proven(jz, cfg(update="stochastic")) == "spu"
+        assert proven(jz, cfg(algo="gsemo")) == "gsemo"
         # no explicit-constant closed form for these
-        assert applicable_theorems(jz, cfg(mutation=MutationOperator("heavy_tailed", 1.5))) == []
+        assert proven(jz, cfg(mutation=MutationOperator("heavy_tailed", 1.5))) is None
         heavy_gsemo = cfg(algo="gsemo", mutation=MutationOperator("heavy_tailed", 1.5))
-        assert applicable_theorems(jz, heavy_gsemo) == []
-        assert applicable_theorems(ProblemInstance.momm(8, 4), cfg()) == []
+        assert proven(jz, heavy_gsemo) is None
+        assert proven(ProblemInstance.momm(8, 4), cfg()) is None
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
         momm = ExperimentSpec(ProblemInstance.momm(8, 4), cfg())
         assert build_bound_report(momm, rows) == ()
@@ -177,6 +197,19 @@ class TestRunExperiment:
         # a single repetition runs in this process
         run_experiment(ExperimentSpec(OMM20, cfg(), 1, 3), jobs=500)
         assert sizes == [2]
+
+    @pytest.mark.parametrize("failure, error", [("raise", RuntimeError), ("malformed", TypeError)])
+    def test_failed_row_cancels_repetitions_not_started(
+        self, tmp_path, monkeypatch, failure, error
+    ):
+        # the workers inherit the patched module and the environment
+        monkeypatch.setattr(harness, "_one_rep", failing_rep)
+        monkeypatch.setenv("REP_FAILURE", failure)
+        monkeypatch.setenv("REP_STARTS", str(tmp_path))
+        with pytest.raises(error):
+            run_experiment(ExperimentSpec(OMM20, cfg(), 40, 0), jobs=2)
+        # rep 0 never marks its start
+        assert len(list(tmp_path.iterdir())) < 39
 
     def test_negative_master_seed_rejected_before_the_csv(self, tmp_path):
         out = tmp_path / "runs.csv"
