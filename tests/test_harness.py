@@ -202,7 +202,7 @@ class TestRunExperiment:
     def test_failed_row_cancels_repetitions_not_started(
         self, tmp_path, monkeypatch, failure, error
     ):
-        # the workers inherit the patched module and the environment
+        # the pool sends failing_rep by reference; its workers inherit the environment
         monkeypatch.setattr(harness, "_one_rep", failing_rep)
         monkeypatch.setenv("REP_FAILURE", failure)
         monkeypatch.setenv("REP_STARTS", str(tmp_path))
