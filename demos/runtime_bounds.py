@@ -12,26 +12,23 @@ from emoabench import (
     AlgorithmConfig,
     ExperimentSpec,
     ProblemInstance,
-    bound_value,
     run_experiment,
     summarize,
 )
 from emoabench.algorithms import run_limits
-from emoabench.bounds import proven_theorem
 
 
 def run_case(name: str, inst: ProblemInstance, cfg: AlgorithmConfig,
              reps: int) -> None:
-    rows, _ = run_experiment(
+    rows, bound = run_experiment(
         ExperimentSpec(problem=inst, config=cfg, repetitions=reps,
                        master_seed=2024))
     s = summarize(rows)
     mu, _ = run_limits(inst, cfg)
     line = (f"{name:<14} mu={mu:<3} reps={reps:<4} "
             f"mean={s.mean_iterations:9.1f} +-{s.ci_half_width:7.1f}")
-    proven = proven_theorem(inst.kind, cfg.algo, cfg.update, cfg.mutation.kind)
-    if proven is not None:
-        line += f"  {proven} bound {bound_value(proven, inst, mu):.3e}"
+    if bound is not None:
+        line += f"  {bound.theorem} bound {bound.bound:.3e}"
     print(line)
 
 

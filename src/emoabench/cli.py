@@ -3,8 +3,8 @@
 Subcommands:
 
 - ``run``    execute seeded repetitions of one algorithm on one problem,
-             write a CSV, print summary statistics and (optionally) the
-             closed-form bound report; exits 2 on any failed bound
+             write a CSV and print summary statistics; with ``--bounds``,
+             print the closed-form bound verdict and exit 2 when it fails
 - ``verify`` run the brute-force oracle suite; exits 2 on any mismatch
 - ``front``  print the closed-form Pareto front of a problem
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .algorithms import AlgorithmConfig
@@ -105,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iters", type=_int_or_auto, default="auto", help="iteration cap or 'auto'"
     )
     run_p.add_argument("--out", default=None, help="CSV output path")
-    run_p.add_argument("--bounds", action="store_true", help="print the bound report")
+    run_p.add_argument(
+        "--bounds", action="store_true", help="print the bound verdict; exit 2 if it fails"
+    )
     run_p.add_argument("--jobs", type=int, default=None, help="parallel workers (>= 1)")
 
     verify_p = sub.add_parser("verify", help="run the brute-force oracle suite")
@@ -140,9 +143,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     spec = ExperimentSpec(
         problem=inst, config=cfg, repetitions=args.reps, master_seed=args.seed,
-        out=Path(args.out) if args.out else None, bound_report=args.bounds,
+        out=Path(args.out) if args.out else None,
     )
-    rows, report = run_experiment(spec, jobs=args.jobs)
+    rows, bound = run_experiment(spec, jobs=args.jobs)
     summary = summarize(rows)
     print(
         f"problem={inst} algo={cfg.algo} mu={cfg.mu or 'auto'} mutation={mutation.kind} "
@@ -159,17 +162,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{summary.repetitions - summary.censored} uncensored repetitions"
         )
     failed = False
-    if report is not None:
-        if not report:
-            setting = f"{inst} with {cfg.algo}/{mutation.kind} mutation"
-            print(f"bound: no closed-form bound for {setting}")
-        for row in report:
-            status = "pass" if row.passed else "FAIL"
-            failed |= not row.passed
-            print(
-                f"bound[{row.theorem}]: closed-form={row.bound:.1f} "
-                f"mean={row.empirical_mean:.1f} ci95_half={row.ci_half_width:.1f} -> {status}"
-            )
+    if args.bounds and bound is None:
+        setting = f"{inst} with {cfg.algo}/{mutation.kind} mutation"
+        print(f"bound: no closed-form bound for {setting}")
+    elif args.bounds:
+        failed = not bound.passed
+        print(
+            f"bound[{bound.theorem}]: closed-form={bound.bound:.1f} "
+            f"mean={summary.mean_iterations:.1f} ci95_half={summary.ci_half_width:.1f} "
+            f"-> {'FAIL' if failed else 'pass'}"
+        )
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
     return VERIFY_ERROR if failed else 0
@@ -195,23 +197,31 @@ def _cmd_front(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            if args.config:
-                # the file's flags go first, so the command line overrides them
-                keys = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
-                args = parser.parse_args(["run", *_config_flags(args.config, keys), *argv[1:]])
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_front(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    # a warning reads as the CLI's own message, without the library's source
+    # line; forked pool workers inherit the hook
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "run":
+                if args.config:
+                    # the file's flags go first, so the command line overrides them
+                    keys = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+                    args = parser.parse_args(["run", *_config_flags(args.config, keys), *argv[1:]])
+                return _cmd_run(args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            return _cmd_front(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
-"""Experiment runner: seeded parallel repetitions, statistics, bound reports.
+"""Experiment runner: seeded parallel repetitions, statistics, bound verdicts.
 
 A repetition's RNG stream is derived from (master seed, repetition index),
 so results are reproducible independently of scheduling order.  One flat
-CSV row per repetition keeps downstream analysis tool-agnostic.
+CSV row per repetition keeps downstream analysis tool-agnostic.  Every
+experiment returns its rows with the verdict of the one theorem proven for
+its setting, or None where no closed form applies.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class ExperimentSpec:
     repetitions: int = 1
     master_seed: int = 0
     out: Path | None = None
-    bound_report: bool = False
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -84,10 +85,11 @@ class ResultRow:
 
 @dataclass(frozen=True, slots=True)
 class BoundRow:
+    """A proven theorem's closed-form bound and whether the rows' mean plus
+    95% half-width stays within it; the mean and CI are ``summarize``'s."""
+
     theorem: str
     bound: float
-    empirical_mean: float
-    ci_half_width: float
     passed: bool
 
 
@@ -131,34 +133,32 @@ def summarize(rows: Sequence[ResultRow]) -> Summary:
     return Summary(len(rows), len(rows) - len(done), mean, median, ci)
 
 
-def build_bound_report(
-    spec: ExperimentSpec, rows: Sequence[ResultRow]
-) -> tuple[BoundRow, ...]:
-    """The row of the theorem proven for the spec's setting, if any."""
+def build_bound_report(spec: ExperimentSpec, rows: Sequence[ResultRow]) -> BoundRow | None:
+    """The row of the theorem proven for the spec's setting, or None."""
     inst, cfg = spec.problem, spec.config
     theorem = bounds.proven_theorem(inst.kind, cfg.algo, cfg.update, cfg.mutation.kind)
     if theorem is None:
-        return ()
+        return None
     summary = summarize(rows)
     mu, _ = run_limits(inst, cfg)
     b = bounds.bound_value(theorem, inst, mu)
-    ci = summary.ci_half_width
     # a NaN mean or CI (fewer than two uncensored repetitions) compares
     # False, so a row without an interval fails
-    passed = summary.censored == 0 and summary.mean_iterations + ci <= b
-    return (BoundRow(theorem, b, summary.mean_iterations, ci, passed),)
+    passed = summary.censored == 0 and summary.mean_iterations + summary.ci_half_width <= b
+    return BoundRow(theorem, b, passed)
 
 
 def run_experiment(
     spec: ExperimentSpec, jobs: int | None = None
-) -> tuple[list[ResultRow], tuple[BoundRow, ...] | None]:
+) -> tuple[list[ResultRow], BoundRow | None]:
     """Execute all repetitions (in parallel), optionally writing CSV rows
-    incrementally, and build the bound report if requested.  One job runs
-    the repetitions in this process, and no more workers start than there
-    are repetitions.  The CSV is created with the first row, so a run that
-    fails before it leaves no file; an output path that is a directory or
-    lies in a missing one fails before any repetition runs, and a failed row
-    cancels the pooled repetitions not yet started."""
+    incrementally, and return the rows with their bound verdict
+    (``build_bound_report``, None for a setting with no proven closed form).
+    One job runs the repetitions in this process, and no more workers start
+    than there are repetitions.  The CSV is created with the first row, so a
+    run that fails before it leaves no file; an output path that is a
+    directory or lies in a missing one fails before any repetition runs, and
+    a failed row cancels the pooled repetitions not yet started."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
@@ -192,5 +192,4 @@ def run_experiment(
                     writer.writerow(CSV_HEADER)
                 writer.writerow(row.as_csv())
                 fh.flush()
-    report = build_bound_report(spec, rows) if spec.bound_report else None
-    return rows, report
+    return rows, build_bound_report(spec, rows)

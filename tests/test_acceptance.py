@@ -177,21 +177,20 @@ def test_criterion_05_survival_stochastic_update():
 
 
 def _bound_experiment(inst, cfg, reps, master_seed):
-    spec = ExperimentSpec(inst, cfg, repetitions=reps, master_seed=master_seed,
-                          bound_report=True)
+    spec = ExperimentSpec(inst, cfg, repetitions=reps, master_seed=master_seed)
     # the wall-clock budgets measure the run loop, not collector sweeps over
     # objects accumulated by earlier tests in the same process
     gc.collect()
     gc.freeze()
     start = time.perf_counter()
     try:
-        rows, report = run_experiment(spec, jobs=1)
+        rows, bound = run_experiment(spec, jobs=1)
     finally:
         elapsed = time.perf_counter() - start
         gc.unfreeze()
     summary = summarize(rows)
-    assert report is not None and len(report) == 1
-    return report[0], summary, elapsed
+    assert bound is not None
+    return bound, summary, elapsed
 
 
 def test_criterion_06_oneminmax_bound():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import emoabench
-from emoabench import cli, harness
+from emoabench import cli, harness, oracle
+from emoabench.benchmarks import ProblemInstance
 from emoabench.cli import main
 
 
@@ -91,6 +92,21 @@ class TestRun:
         assert code == 0
         assert f"bound: no closed-form bound for {setting} mutation\n" in out
         assert "bound[" not in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_warning_prints_without_source_location(self, capfd, jobs):
+        code = run_cli(
+            "run", "--problem", "lotz:n=8", "--mu", "5", "--reps", "2", "--max-iters", "200",
+            "--jobs", jobs,
+        )
+        lines = capfd.readouterr().err.splitlines()
+        assert code == 0
+        # one line from each process that ran a repetition
+        assert 1 <= len(lines) <= int(jobs)
+        assert set(lines) == {
+            "warning: mu=5 is below the survival-guarantee regime (>= 9 for standard "
+            "update); covered front values may be lost"
+        }
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -319,6 +335,21 @@ class TestVerify:
             "[ok] block membership vs brute-force non-dominance (1 of 2 above n=8 skipped)"
         )
 
+    def test_membership_mismatch_is_reported_and_exits_2(self, capsys, monkeypatch):
+        # a characterization that is wrong on one genome of mojzj(8, 4, 2)
+        right = oracle.is_pareto_optimal
+        monkeypatch.setattr(
+            oracle, "is_pareto_optimal",
+            lambda mask, inst: right(mask, inst) != (mask == 5 and inst.n == 8),
+        )
+        detail = f"membership mismatch at mask=5 on {ProblemInstance.mojzj(8, 4, 2)}"
+        results = oracle.run_verification(oracle.OracleBudget(8, 1000))
+        assert results[1] == ("block membership vs brute-force non-dominance", False, detail)
+        assert all(ok for _, ok, _ in results[:1] + results[2:])
+        code = run_cli("verify", "--max-n", "8", "--mc-samples", "1000")
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[1] == f"[MISMATCH] block membership vs brute-force non-dominance ({detail})"
 
     def test_fully_skipped_check_reads_skipped(self, capsys):
         code = run_cli("verify", "--max-n", "7", "--mc-samples", "1000")

@@ -89,13 +89,13 @@ class TestBoundValues:
         # the report resolves mu=None to auto_mu: n+1 = 21 for OneMinMax
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
         report = build_bound_report(ExperimentSpec(OMM20, cfg()), rows)
-        assert report[0].bound == bound_value("omm", OMM20, 21)
+        assert report.bound == bound_value("omm", OMM20, 21)
 
     def test_single_repetition_has_no_interval(self):
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
-        (row,) = build_bound_report(ExperimentSpec(OMM20, cfg()), rows)
-        assert row.empirical_mean == 100 < row.bound
-        assert math.isnan(row.ci_half_width)
+        row, summary = build_bound_report(ExperimentSpec(OMM20, cfg()), rows), summarize(rows)
+        assert summary.mean_iterations == 100 < row.bound
+        assert math.isnan(summary.ci_half_width)
         assert not row.passed
 
     def test_inapplicable_pairings(self):
@@ -120,7 +120,7 @@ class TestBoundValues:
         assert proven(ProblemInstance.momm(8, 4), cfg()) is None
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]
         momm = ExperimentSpec(ProblemInstance.momm(8, 4), cfg())
-        assert build_bound_report(momm, rows) == ()
+        assert build_bound_report(momm, rows) is None
 
 
 class TestRunExperiment:
@@ -129,7 +129,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(OMM20, cfg(), repetitions=4, master_seed=9, out=out)
         rows, report = run_experiment(spec, jobs=1)
         assert len(rows) == 4
-        assert report is None
+        assert report.theorem == "omm"
         data = read_csv(out)
         assert data[0] == CSV_HEADER
         assert len(data) == 5
@@ -218,13 +218,13 @@ class TestRunExperiment:
         assert not out.exists()
 
     def test_bound_report(self):
-        spec = ExperimentSpec(OMM20, cfg(), repetitions=10, master_seed=1, bound_report=True)
-        rows, report = run_experiment(spec, jobs=1)
-        assert report is not None and len(report) == 1
-        row = report[0]
+        spec = ExperimentSpec(OMM20, cfg(), repetitions=10, master_seed=1)
+        rows, row = run_experiment(spec, jobs=1)
+        assert row == build_bound_report(spec, rows)
         assert row.theorem == "omm"
         assert row.passed
-        assert row.empirical_mean + row.ci_half_width <= row.bound
+        summary = summarize(rows)
+        assert summary.mean_iterations + summary.ci_half_width <= row.bound
 
 
 class TestStatistics:
@@ -258,7 +258,7 @@ class TestStatistics:
         spec = ExperimentSpec(OMM20, cfg(max_iterations=1), repetitions=2, master_seed=0)
         rows, _ = run_experiment(spec, jobs=1)
         report = build_bound_report(spec, rows)
-        assert not report[0].passed
+        assert not report.passed
 
 
 def test_write_csv_round_trip(tmp_path):
