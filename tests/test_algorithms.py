@@ -536,6 +536,25 @@ GOLDEN_JUMP4_SPU = {
         (741, 19), (778, 20), (839, 21), (1285, 22), (1449, 23), (6560, 24), (14802, 25),
     ], [(0, 2)]),
 }
+# lotz n=20 under the stochastic update at auto mu=43, 3000 iterations: the
+# run enters many more vectors than it keeps alive, so most ids are dead
+GOLDEN_LOTZ20_SPU = {
+    0: (None, 3043, [
+        (0, 0), (469, 1), (576, 2), (674, 3), (697, 4), (727, 5), (855, 6), (1031, 7),
+        (1112, 8), (1291, 9), (1419, 10), (1887, 11), (2119, 12), (2492, 13), (2750, 14),
+        (2983, 15),
+    ], []),
+    1: (None, 3043, [
+        (0, 0), (636, 1), (694, 2), (730, 3), (848, 4), (934, 5), (962, 6), (1156, 7),
+        (1185, 8), (1415, 9), (1618, 10), (1703, 11), (1778, 12), (1808, 13), (1849, 14),
+        (2788, 15), (2829, 16),
+    ], []),
+    2: (None, 3043, [
+        (0, 0), (748, 1), (808, 2), (852, 3), (1028, 4), (1093, 5), (1115, 6), (1121, 7),
+        (1167, 8), (1175, 9), (1218, 10), (1432, 11), (1492, 12), (1960, 13), (1964, 14),
+        (2200, 15),
+    ], []),
+}
 # mu = 5 holds at most 5 of the 9 front vectors, so this run keeps losing
 # covered values, and its best inner level rises and falls again
 GOLDEN_JUMP12_K3_MU5 = (None, 4005, [
@@ -623,6 +642,12 @@ class TestGoldenRuns:
         c = cfg(mu=99, update="stochastic", seed=seed)
         rec = sms_emoa_run(ProblemInstance.mojzj(12, 4, 2), c)
         assert golden(rec) == GOLDEN_JUMP4_SPU[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_LOTZ20_SPU))
+    def test_stochastic_update_with_many_dead_ids(self, seed):
+        c = cfg(update="stochastic", max_iterations=3000, stop_at_coverage=False, seed=seed)
+        rec = sms_emoa_run(ProblemInstance.lotz(20), c)
+        assert golden(rec) == GOLDEN_LOTZ20_SPU[seed]
 
     def test_losses_and_falling_inner_level(self):
         c = cfg(mu=5, max_iterations=4000, stop_at_coverage=False, seed=2)
