@@ -289,8 +289,8 @@ def sms_emoa_run(
             genomes[free] = child
             born = selector.set_offspring(cobj)
 
-            eligible = draws.sample_mask(mu + 1, (mu + 1) // 2) if stochastic else None
-            gone = selector.commit_removal(selector.choose_removal(draws, eligible))
+            sample = draws.sample(mu + 1, (mu + 1) // 2) if stochastic else None
+            gone = selector.commit_removal(selector.choose_removal(draws, sample))
             if born or gone is not None:
                 # added before the removal, as the offspring joined first
                 if born:

@@ -14,6 +14,7 @@ import math
 import os
 import statistics
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -111,9 +112,12 @@ def _one_rep(
     inst, cfg, rep = args
     rng = np.random.default_rng([cfg.seed, rep])
     run = gsemo_run if cfg.algo == "gsemo" else sms_emoa_run
-    start = time.perf_counter()
-    record = run(inst, cfg, rng)
-    elapsed = time.perf_counter() - start
+    with warnings.catch_warnings():
+        if rep:  # the first repetition's warnings stand for the whole run
+            warnings.simplefilter("ignore")
+        start = time.perf_counter()
+        record = run(inst, cfg, rng)
+        elapsed = time.perf_counter() - start
     hit = record.iterations_to_coverage
     iterations = record.iterations if hit is None else hit
     return rep, iterations, record.evaluations, record.censored, elapsed

@@ -143,18 +143,18 @@ def select_removal_index(
     objectives: np.ndarray,
     r: ReferencePoint,
     rng: np.random.Generator,
-    eligible: Sequence[int] | None = None,
+    sample: Sequence[int] | None = None,
 ) -> int:
     """Row index to remove from an (N, m) objective array: a last-front
     member of least leave-one-out hypervolume, ties broken uniformly.
 
-    Sorting and contributions are restricted to the ascending rows in
-    ``eligible`` (defaults to all rows).  Tied candidates are listed in row
-    order and one ``rng.integers`` draw picks among them, so
-    :class:`~emoabench.selection.SteadyStateSelector` must make the same
-    choice from the same RNG stream.
+    Sorting and contributions are restricted to the distinct rows listed in
+    ``sample``, in any order and with repeats (defaults to all rows).  Tied
+    candidates are listed in row order and one ``rng.integers`` draw picks
+    among them, so :class:`~emoabench.selection.SteadyStateSelector` must
+    make the same choice from the same RNG stream.
     """
-    rows = list(range(len(objectives))) if eligible is None else list(eligible)
+    rows = list(range(len(objectives))) if sample is None else sorted(set(sample))
     last = [rows[i] for i in front_indices(objectives[rows])[-1]]
     pts = [tuple(int(v) for v in objectives[i]) for i in last]
     total = hypervolume(pts, r)
@@ -276,11 +276,9 @@ def reference_sms_emoa_run(
         child = _mutate(cfg.mutation, parent, n, rng)
         offspring = inst.evaluate_mask(child)
         slots[free] = (child, offspring)
-        eligible = None
-        if stochastic:
-            eligible = sorted(set(rng.integers(mu + 1, size=(mu + 1) // 2).tolist()))
+        sample = rng.integers(mu + 1, size=(mu + 1) // 2).tolist() if stochastic else None
         objectives = np.array([v for _, v in slots], dtype=np.int64)
-        free = int(select_removal_index(objectives, r, rng, eligible))
+        free = int(select_removal_index(objectives, r, rng, sample))
         return offspring, [slot for s, slot in enumerate(slots) if s != free]
 
     return _recounted_run(inst, cfg, max_iters, slots[:mu], step)

@@ -252,30 +252,32 @@ class SteadyStateSelector:
                 return alive
             alive = behind
 
-    def choose_removal(self, draws: Draws, eligible: int | None = None) -> int:
-        """Index to remove; ``eligible`` is a bitmask of sampled slots
-        (None means the full combined population)."""
-        if eligible is None:
+    def choose_removal(self, draws: Draws, sample: Sequence[int] | None = None) -> int:
+        """Slot to remove, restricted to ``sample``: the slots the stochastic
+        update drew, repeats allowed, each occupied, as all are after
+        :meth:`set_offspring` (None means the full combined population)."""
+        if sample is None:
             dups = self.dups
             if dups and not self.live & self.index.dominated:
                 # on an antichain every slot is in the last front, and the
                 # duplicated slots are exactly the zero-contribution members
                 return dups[draws.below(len(dups))]
-            held = self.slots
+            eligible = -1
             last = self._last_front(self.live)
         else:
-            # each id's sampled slots; a dead id holds none
-            held = [slots & eligible for slots in self.slots]
-            sampled = 0
-            for i, h in enumerate(held):
-                if h:
-                    sampled |= 1 << i
+            # the sampled slots and the ids they hold, in one pass
+            vid = self.vid
+            eligible = sampled = 0
+            for s in sample:
+                eligible |= 1 << s
+                sampled |= 1 << vid[s]
             last = self._last_front(sampled)
         # duplicated members, if any, are exactly the zero-contribution
         # ones, so a hypervolume is evaluated only on a duplicate-free front
+        slots = self.slots
         dup = single = 0
         for i in _bits(last):
-            h = held[i]
+            h = slots[i] & eligible
             if h & (h - 1):
                 dup |= h
             else:

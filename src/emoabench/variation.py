@@ -212,9 +212,8 @@ class Draws:
             else:
                 return x
 
-    def sample_mask(self, high: int, size: int) -> int:
-        """The OR of ``1 << d`` over ``integers(high, size=size)``, for
-        2 <= high <= 2**32.
+    def sample(self, high: int, size: int) -> list[int]:
+        """``integers(high, size=size).tolist()``, for 2 <= high <= 2**32.
 
         numpy fills the array by the same rejection loop as :meth:`below`.
         The values after a buffered half-word come from consecutive words,
@@ -224,29 +223,25 @@ class Draws:
         """
         if not 1 < high <= 1 << 32:
             raise ValueError(f"high must lie in 2..2**32, got {high}")
-        mask = 0
+        values = []
         while size and self._has:
-            mask |= 1 << self.below(high)
+            values.append(self.below(high))
             size -= 1
         if not size:
-            return mask
+            return values
         words = (size + 1) // 2
         pos = self._pos
         while pos + words > self._end:
             pos = self._fetch(pos)
         m = self._halves[2 * pos : 2 * pos + size] * np.uint64(high)
         if int(m.astype(np.uint32).min()) < ((1 << 32) - high) % high:
-            for _ in range(size):
-                mask |= 1 << self.below(high)
-            return mask
-        for d in (m >> 32).tolist():
-            mask |= 1 << d
+            return values + [self.below(high) for _ in range(size)]
         self._pos = pos + words
         # an odd count leaves the last word's high half buffered; an even
         # one used it, and the state keeps it either way
         self._has = bool(size & 1)
         self._half = self._words[pos + words - 1] >> 32
-        return mask
+        return values + (m >> 32).tolist()
 
 
 def _flip_mask(n: int, rate: float, draws: Draws) -> int:

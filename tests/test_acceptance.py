@@ -163,7 +163,7 @@ def test_criterion_05_survival_stochastic_update():
     half = (mu + 1) // 2
     with Draws(rng) as draws:
         for _ in range(SELECTION_EVENTS):
-            eligible = draws.sample_mask(mu + 1, half)
+            eligible = draws.sample(mu + 1, half)
             removed_counts[sel.choose_removal(draws, eligible)] += 1
     freqs = 1.0 - removed_counts / SELECTION_EVENTS
     sigma = math.sqrt(0.25 / SELECTION_EVENTS)

@@ -101,12 +101,11 @@ class TestRun:
         )
         lines = capfd.readouterr().err.splitlines()
         assert code == 0
-        # one line from each process that ran a repetition
-        assert 1 <= len(lines) <= int(jobs)
-        assert set(lines) == {
+        # one line per run, however many processes ran its repetitions
+        assert lines == [
             "warning: mu=5 is below the survival-guarantee regime (>= 9 for standard "
             "update); covered front values may be lost"
-        }
+        ]
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

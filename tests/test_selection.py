@@ -27,18 +27,15 @@ def fronts_of(*objectives):
 
 
 def half_sample(rng, size):
-    """Eligible mask of the stochastic update: floor(size/2) slots drawn with
+    """Sample of the stochastic update: floor(size/2) slots drawn with
     replacement, as the run loop draws them."""
-    mask = 0
-    for d in rng.integers(size, size=size // 2).tolist():
-        mask |= 1 << d
-    return mask
+    return rng.integers(size, size=size // 2).tolist()
 
 
-def choose(sel, rng, eligible=None):
+def choose(sel, rng, sample=None):
     """``sel.choose_removal`` drawing from the numpy generator ``rng``."""
     with Draws(rng) as draws:
-        return sel.choose_removal(draws, eligible)
+        return sel.choose_removal(draws, sample)
 
 
 def slot_vectors(sel):
@@ -226,9 +223,9 @@ class TestRemovalChoice:
         seen = set()
         for s in range(50):
             rng = np.random.default_rng(s)
-            eligible = half_sample(rng, 2)
-            removed = choose(sel, rng, eligible)
-            assert eligible == 1 << removed
+            sample = half_sample(rng, 2)
+            removed = choose(sel, rng, sample)
+            assert sample == [removed]
             seen.add(slot_vectors(sel)[removed])
         assert seen == {(0, 2), (2, 0)}
 
@@ -240,10 +237,10 @@ class TestRemovalChoice:
         )
         sel = selector((0, 3), (1, 1), (3, 0), (1, 1), (2, 2))
         for s in range(20):
-            removed = choose(sel, np.random.default_rng(s), 0b11011)
+            removed = choose(sel, np.random.default_rng(s), [0, 1, 3, 4])
             assert slot_vectors(sel)[removed] == (1, 1)
         assert calls == []
-        removed = choose(sel, np.random.default_rng(0), 0b00111)
+        removed = choose(sel, np.random.default_rng(0), [0, 1, 2])
         assert (slot_vectors(sel)[removed], calls) == ((1, 1), [[(0, 3), (1, 1), (3, 0)]])
 
     def test_stochastic_can_spare_the_worst(self):
@@ -282,12 +279,9 @@ class TestSteadyStateSelector:
             r = default_reference_point(m)
             sel = SteadyStateSelector(pts[:-1], r, ValueIndex(len(r)))
             sel.set_offspring(pts[-1])
-            sub = sorted({int(i) for i in rng.integers(0, size, size=max(1, size // 2))})
-            mask = 0
-            for i in sub:
-                mask |= 1 << i
+            sub = rng.integers(0, size, size=max(1, size // 2)).tolist()
             for s in range(30):
-                a = choose(sel, np.random.default_rng(s), mask)
+                a = choose(sel, np.random.default_rng(s), sub)
                 # the reference returns the index in the full array already
                 b = select_removal_index(arr, r, np.random.default_rng(s), sub)
                 assert a == b
@@ -504,14 +498,13 @@ class TestSteadyStateSelector:
             sel = (a, b)[step % 2]
             pop = pops[sel]
             assert_index_definitions(sel, (1 << len(pop)) - 1)
-            eligible = mask = None
+            sample = None
             if step % 4 >= 2:
-                eligible = sorted({int(d) for d in rng.integers(len(pop), size=len(pop) // 2)})
-                mask = sum(1 << s for s in eligible)
+                sample = rng.integers(len(pop), size=len(pop) // 2).tolist()
             seed = int(rng.integers(2**32))
-            removed = choose(sel, np.random.default_rng(seed), mask)
+            removed = choose(sel, np.random.default_rng(seed), sample)
             expected = select_removal_index(
-                np.array(pop, dtype=np.int64), r, np.random.default_rng(seed), eligible
+                np.array(pop, dtype=np.int64), r, np.random.default_rng(seed), sample
             )
             assert removed == expected, f"step {step}"
             sel.commit_removal(removed)
@@ -538,15 +531,13 @@ class TestSteadyStateSelector:
         sel.set_offspring(pop[-1])
         sel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(40):
-            eligible = mask = None
+            sample = None
             if sampled:
-                draws = data.draw(
+                sample = data.draw(
                     st.lists(st.integers(0, size - 1), min_size=size // 2, max_size=size // 2)
                 )
-                eligible = sorted(set(draws))
-                mask = sum(1 << i for i in eligible)
-            a = choose(sel, sel_rng, mask)
-            b = select_removal_index(np.array(pop, dtype=np.int64), r, ref_rng, eligible)
+            a = choose(sel, sel_rng, sample)
+            b = select_removal_index(np.array(pop, dtype=np.int64), r, ref_rng, sample)
             assert a == b, f"step {step}"
             sel.commit_removal(a)
             pop[a] = data.draw(vec)

@@ -96,13 +96,6 @@ def set_next_word(rng, word):
     rng.bit_generator.state = state
 
 
-def sample_mask(rng, high, size):
-    mask = 0
-    for d in rng.integers(high, size=size).tolist():
-        mask |= 1 << d
-    return mask
-
-
 class TestDraws:
     """The decoder against numpy's own calls on twin PCG64 generators: the
     same values, and the same state once the ``with`` block is left."""
@@ -124,9 +117,8 @@ class TestDraws:
                     # else by BTPE (or on 1 - p), which the decoder hands back
                     assert draws.binomial(n, p) == int(numpys.binomial(n, p))
                 mu = (1, 2, 51, 99, 625)[step % 5]
-                assert draws.sample_mask(mu + 1, (mu + 1) // 2) == sample_mask(
-                    numpys, mu + 1, (mu + 1) // 2
-                )
+                half = (mu + 1) // 2
+                assert draws.sample(mu + 1, half) == numpys.integers(mu + 1, size=half).tolist()
         assert state(ours) == state(numpys)
 
     @pytest.mark.parametrize("pre", [0, 1, 2])
@@ -134,7 +126,7 @@ class TestDraws:
         ours, numpys = twins(12, pre)
         with Draws(ours) as draws:
             for size in (700, 333, 1, 2, 1000, 3):  # 1024 halves per block
-                assert draws.sample_mask(size + 1, size) == sample_mask(numpys, size + 1, size)
+                assert draws.sample(size + 1, size) == numpys.integers(size + 1, size=size).tolist()
                 assert draws.below(7) == int(numpys.integers(7))
         assert state(ours) == state(numpys)
 
@@ -144,8 +136,16 @@ class TestDraws:
         ours, numpys = twins(13)
         with Draws(ours) as draws:
             for _ in range(100):
-                assert draws.sample_mask(2**20 + 1, 400) == sample_mask(numpys, 2**20 + 1, 400)
+                assert draws.sample(2**20 + 1, 400) == numpys.integers(2**20 + 1, size=400).tolist()
         assert state(ours) == state(numpys)
+
+    @pytest.mark.parametrize("pre", [0, 1, 2])
+    def test_empty_sample_draws_nothing(self, pre):
+        ours, numpys = twins(16, pre)
+        before = state(ours)
+        with Draws(ours) as draws:
+            assert draws.sample(52, 0) == numpys.integers(52, size=0).tolist() == []
+        assert state(ours) == state(numpys) == before
 
     @pytest.mark.parametrize("n, k", [(23, 1), (24, 1), (32, 3), (53, 4)])
     def test_binomial_inversion_restarts_past_its_bound(self, n, k):
@@ -221,7 +221,7 @@ class TestDirectDraws:
                     draws.below(high)
             for high in (1, 2**32 + 1):
                 with pytest.raises(ValueError, match="high must lie in"):
-                    draws.sample_mask(high, 3)
+                    draws.sample(high, 3)
 
     def test_power_law_sample_matches_searchsorted(self, bit_generator):
         ours, numpys = (np.random.Generator(bit_generator(12)) for _ in range(2))
