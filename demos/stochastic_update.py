@@ -8,7 +8,9 @@ probability of surviving each step regardless of its contribution.
 
 The script runs both variants on a block-jump instance with a doubled
 population for the stochastic one, and reports coverage times and how often
-an already-covered front point was lost again ("coverage violations").
+a held front value left the population (``coverage_violations``).  That count
+includes losses before full coverage, and an offspring with a new front value
+that is removed in its own iteration.
 """
 
 from dataclasses import replace
@@ -28,7 +30,7 @@ def run_variant(inst: ProblemInstance, update: str, runs: int) -> None:
         violations += rec.coverage_violations
     mean = sum(times) / len(times)
     print(f"{update:<11} mu={mu:<3} mean coverage time {mean:8.1f}  "
-          f"coverage losses after first cover: {violations}")
+          f"front value losses: {violations}")
 
 
 def main() -> None:

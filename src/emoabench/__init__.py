@@ -6,7 +6,6 @@ from .benchmarks import (
     ProblemInstance,
     incomparable_family,
     inner_level,
-    is_inner_pareto_optimum,
     is_pareto_optimal,
     parse_problem,
 )
@@ -20,19 +19,19 @@ from .oracle import (
     hv_monte_carlo,
     verify_antichain,
 )
-from .selection import default_reference_point, hv_contribution, hypervolume
+from .selection import default_reference_point, hypervolume
 from .variation import MutationOperator, PowerLawDistribution
 
 __all__ = [
     "AlgorithmConfig", "RunRecord", "auto_mu", "gsemo_run", "sms_emoa_run",
     "ProblemInstance", "incomparable_family", "inner_level",
-    "is_inner_pareto_optimum", "is_pareto_optimal", "parse_problem",
+    "is_pareto_optimal", "parse_problem",
     "bound_value",
     "ObjectiveVector", "dominates", "incomparable", "weakly_dominates",
     "ExperimentSpec", "ResultRow", "run_experiment", "summarize",
     "OracleBudget", "brute_force_front", "hv_inclusion_exclusion", "hv_monte_carlo",
     "verify_antichain",
-    "default_reference_point", "hv_contribution", "hypervolume",
+    "default_reference_point", "hypervolume",
     "MutationOperator", "PowerLawDistribution",
 ]
 __version__ = "0.1.0"

@@ -342,8 +342,6 @@ def gsemo_run(
     max_pop = 1
     antichain_violations = 0
     stop = cfg.stop_at_coverage
-    if stop and cov.hit is not None:
-        max_iters = 0  # the start covers the front
 
     iterations = 0
     with draws:

@@ -176,9 +176,7 @@ class ProblemInstance:
             return (self.n - ones, ones)
         # lotz: leading ones = trailing set bits of the mask, trailing zeros =
         # clear bits above the highest set bit
-        leading = ((mask ^ (mask + 1)).bit_length() - 1)
-        trailing = self.n - mask.bit_length()
-        return (min(leading, self.n), trailing if mask else self.n)
+        return ((mask ^ (mask + 1)).bit_length() - 1, self.n - mask.bit_length())
 
     @lru_cache(maxsize=None)
     def pareto_front(self) -> frozenset[ObjectiveVector]:
@@ -228,13 +226,6 @@ def is_pareto_optimal(mask: int, inst: ProblemInstance) -> bool:
     _require_mojzj(inst)
     np_, k = inst.nprime, inst.k
     return all(c in (0, np_) or k <= c <= np_ - k for c in inst.block_ones(mask))
-
-
-def is_inner_pareto_optimum(mask: int, inst: ProblemInstance) -> bool:
-    """Pareto optimum with no all-zero or all-one block."""
-    _require_mojzj(inst)
-    np_, k = inst.nprime, inst.k
-    return all(k <= c <= np_ - k for c in inst.block_ones(mask))
 
 
 def inner_level(mask: int, inst: ProblemInstance) -> int:

@@ -18,7 +18,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .algorithms import AlgorithmConfig
+from .algorithms import AlgorithmConfig, run_limits
 from .benchmarks import parse_problem
 from .harness import ALGO_NAMES, ExperimentSpec, run_experiment, summarize
 from .oracle import OracleBudget, run_verification
@@ -147,10 +147,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     rows, bound = run_experiment(spec, jobs=args.jobs)
     summary = summarize(rows)
-    print(
-        f"problem={inst} algo={cfg.algo} mu={cfg.mu or 'auto'} mutation={mutation.kind} "
-        f"update={cfg.update}"
-    )
+    # GSEMO's archive has no mu; an auto mu is the value the run chose
+    mu = "" if cfg.algo == "gsemo" else f" mu={run_limits(inst, cfg)[0]}"
+    print(f"problem={inst} algo={cfg.algo}{mu} mutation={mutation.kind} update={cfg.update}")
     print(
         f"reps={summary.repetitions} censored={summary.censored} "
         f"mean_iters={summary.mean_iterations:.1f} median={summary.median_iterations:.1f} "

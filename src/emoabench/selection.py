@@ -87,15 +87,6 @@ def _hv_2d(pts: list[ObjectiveVector], r: ReferencePoint) -> int:
     return total
 
 
-def hv_contribution(points: Sequence[ObjectiveVector], index: int, r: ReferencePoint) -> int:
-    """HV(points) - HV(points without points[index]); zero iff that vector is
-    duplicated inside an antichain."""
-    pts = list(points)
-    if not 0 <= index < len(pts):
-        raise ValueError(f"index {index} out of range for {len(pts)} points")
-    return hypervolume(pts, r) - hypervolume(pts[:index] + pts[index + 1 :], r)
-
-
 def min_contribution_indices(points: Sequence[ObjectiveVector], r: ReferencePoint) -> list[int]:
     """Indices of the members of minimal leave-one-out hypervolume
     contribution, ascending."""

@@ -54,9 +54,6 @@ class PowerLawDistribution:
         """One alpha from one ``random()`` draw."""
         return bisect_right(self._cdf, draws.random()) + 1
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.searchsorted(self._cdf, rng.random(size), side="right") + 1
-
 
 @lru_cache(maxsize=None)
 def power_law(n: int, beta: float) -> PowerLawDistribution:

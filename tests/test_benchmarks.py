@@ -20,7 +20,6 @@ from emoabench.benchmarks import (
     incomparable_family,
     incomparable_family_instance,
     inner_level,
-    is_inner_pareto_optimum,
     is_pareto_optimal,
     jump_value,
     parse_problem,
@@ -89,6 +88,17 @@ class TestInstanceValidation:
     def test_biobjective_kinds_fix_m(self):
         with pytest.raises(ValueError):
             ProblemInstance("lotz", 8, 4)
+
+    def test_size_must_be_positive(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                ProblemInstance.oneminmax(n)
+
+    def test_block_kinds_need_even_m(self):
+        with pytest.raises(ValueError, match="even integer, got m=3"):
+            ProblemInstance.mojzj(6, 3, 1)
+        with pytest.raises(ValueError, match="even integer, got m=3"):
+            ProblemInstance.momm(6, 3)
 
     def test_nprime(self):
         assert ProblemInstance.mojzj(8, 4, 2).nprime == 4
@@ -297,8 +307,8 @@ class TestParetoPredicates:
 
     def test_inner_optimum_excludes_extreme_blocks(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
-        assert is_inner_pareto_optimum(bits("11001100"), inst)
-        assert not is_inner_pareto_optimum(bits("11110000"), inst)
+        assert inner_level(bits("11001100"), inst) == inst.m // 2
+        assert inner_level(bits("11110000"), inst) < inst.m // 2
 
     def test_inner_level_counts_interior_blocks(self):
         inst = ProblemInstance.mojzj(8, 4, 2)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,22 @@ class TestRun:
         assert code == 0
         assert "mean_iters" in out
         assert "censored=0" in out
+
+    def test_summary_names_the_mu_that_ran(self, capsys):
+        code = run_cli(
+            "run", "--problem", "mojzj:n=12,m=4,k=2", "--update", "stochastic",
+            "--max-iters", "10",
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "problem=mojzj:n=12,m=4,k=2 algo=sms_emoa mu=99 mutation=standard update=stochastic"
+        )
+        # the archive algorithm has no mu to report
+        code = run_cli("run", "--problem", "omm:n=8", "--algo", "gsemo", "--reps", "2")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "problem=omm:n=8 algo=gsemo mutation=standard update=standard"
+        )
 
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -276,6 +293,9 @@ class TestRun:
         conf.write_text("problem = omm:n=6\nrep = 50\nseeed = 3\nbounds = 1\n")
         assert run_cli("run", "--config", str(conf)) == 1
         assert "unknown key 'rep'" in capsys.readouterr().err
+        conf.write_text("problem = omm:n=6\nbounds\n")
+        assert run_cli("run", "--config", str(conf)) == 1
+        assert ":2: expected key=value, got 'bounds'" in capsys.readouterr().err
         conf.write_text("problem = omm:n=6\nbounds = maybe\n")
         assert run_cli("run", "--config", str(conf)) == 1
         # file values go through the same checks as flags
@@ -349,6 +369,37 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
         assert lines[1] == f"[MISMATCH] block membership vs brute-force non-dominance ({detail})"
+
+    @pytest.mark.parametrize(
+        "row, name, detail",
+        [
+            (0, "brute_force_front", r"front mismatch on mojzj:n=6,m=4,k=1"),
+            (2, "hypervolume", r"HV mismatch on trial 0: (\d+) vs (\d+)"),
+            (3, "hv_monte_carlo", r"MC estimate -1\.0\+-0\.0 far from exact \d+"),
+        ],
+    )
+    def test_engine_mismatch_is_reported_and_exits_2(
+        self, capsys, monkeypatch, row, name, detail
+    ):
+        # a front wrong on one instance, a sweep off by one, a far estimate
+        right, target = getattr(oracle, name), ProblemInstance.mojzj(6, 4, 1)
+        wrong = {
+            "brute_force_front": lambda inst, budget: right(inst, budget)
+            - ({max(right(inst, budget))} if inst == target else set()),
+            "hypervolume": lambda pts, r: right(pts, r) + 1,
+            "hv_monte_carlo": lambda pts, r, samples, rng: (-1.0, 0.0),
+        }[name]
+        monkeypatch.setattr(oracle, name, wrong)
+        results = oracle.run_verification(oracle.OracleBudget(8, 1000))
+        assert [ok for _, ok, _ in results] == [i != row for i in range(len(results))]
+        found = re.fullmatch(detail, results[row][2])
+        assert found
+        if name == "hypervolume":
+            assert int(found[1]) == int(found[2]) + 1
+        code = run_cli("verify", "--max-n", "8", "--mc-samples", "1000")
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[row] == f"[MISMATCH] {results[row][0]} ({results[row][2]})"
 
     def test_fully_skipped_check_reads_skipped(self, capsys):
         code = run_cli("verify", "--max-n", "7", "--mc-samples", "1000")

@@ -85,6 +85,10 @@ class TestBoundValues:
         )
         assert v == pytest.approx(expect)
 
+    def test_unknown_theorem_rejected(self):
+        with pytest.raises(ValueError, match="unknown theorem 'nope'"):
+            bound_value("nope", OMM20, 21)
+
     def test_auto_mu_resolved(self):
         # the report resolves mu=None to auto_mu: n+1 = 21 for OneMinMax
         rows = [ResultRow(OMM20, cfg(), 0, 100, 121, False, 0.0)]

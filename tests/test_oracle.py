@@ -81,6 +81,11 @@ class TestInclusionExclusion:
         with pytest.raises(ValueError):
             hv_inclusion_exclusion([(i, 16 - i) for i in range(16)], (-1, -1))
 
+    def test_reference_must_be_strictly_dominated(self):
+        for pts, r in ([(0, 2), (2, 0)], (0, -1)), ([(0, 2)], (-1, -1, -1)):
+            with pytest.raises(ValueError, match="does not strictly dominate"):
+                hv_inclusion_exclusion(pts, r)
+
     def test_agrees_with_sweep_engine(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

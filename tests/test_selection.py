@@ -15,7 +15,6 @@ from emoabench.selection import (
     SteadyStateSelector,
     ValueIndex,
     default_reference_point,
-    hv_contribution,
     hypervolume,
     min_contribution_indices,
 )
@@ -163,31 +162,6 @@ class TestHypervolume:
             hypervolume([(0, 2)], (0, -1))
         with pytest.raises(ValueError):
             hypervolume([(0, 2), (2, 0)], (-1, -1, -1))
-
-    def test_contribution_values(self):
-        front = [(0, 2), (1, 1), (2, 0)]
-        r = (-1, -1)
-        # each point adds exactly one unit cell beyond the other two
-        assert hv_contribution(front, 1, r) == 1
-        assert hv_contribution(front, 0, r) == 1
-
-    def test_contribution_zero_iff_duplicate(self):
-        front = [(1, 1), (1, 1), (0, 2)]
-        r = (-1, -1)
-        assert hv_contribution(front, 0, r) == 0
-        assert hv_contribution(front, 1, r) == 0
-        assert hv_contribution(front, 2, r) > 0
-
-    def test_contribution_of_duplicates_checks_reference(self):
-        # a duplicated vector contributes 0 only where hypervolume is defined
-        for pts, r in ([(1, 1), (1, 1)], (1, -1)), ([(0, 2), (0, 2), (2, 0)], (-1, -1, -1)):
-            with pytest.raises(ValueError):
-                hv_contribution(pts, 0, r)
-
-    def test_contribution_requires_membership(self):
-        for index in (1, -1):
-            with pytest.raises(ValueError):
-                hv_contribution([(1, 1)], index, (-1, -1))
 
     def test_min_contribution_ties(self):
         assert min_contribution_indices([(0, 3), (1, 1), (3, 0)], (-1, -1)) == [1]

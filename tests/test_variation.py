@@ -36,18 +36,28 @@ class TestPowerLaw:
         assert d.pmf(0) == 0.0
         assert d.pmf(6) == 0.0
 
+    def test_support_must_be_nonempty(self):
+        for n in (1, 0):
+            with pytest.raises(ValueError, match=f"empty for n={n}"):
+                PowerLawDistribution(n, 1.5)
+
+    def test_exponent_must_exceed_one(self):
+        for beta in (1.0, 0.5):
+            with pytest.raises(ValueError, match=f"must exceed 1, got {beta}"):
+                PowerLawDistribution(20, beta)
+
     def test_sampler_support(self):
         d = power_law(20, 1.5)
-        rng = np.random.default_rng(1)
-        draws = d.sample_many(rng, 10_000)
-        assert draws.min() >= 1 and draws.max() <= 10
+        with Draws(np.random.default_rng(1)) as draws:
+            alphas = [d.sample(draws) for _ in range(10_000)]
+        assert min(alphas) >= 1 and max(alphas) <= 10
 
     def test_sampler_goodness_of_fit(self):
         d = power_law(20, 1.5)
-        rng = np.random.default_rng(2)
-        draws = d.sample_many(rng, 100_000)
-        observed = np.bincount(draws, minlength=11)[1:]
-        expected = d.pmf_array() * len(draws)
+        with Draws(np.random.default_rng(2)) as draws:
+            alphas = [d.sample(draws) for _ in range(100_000)]
+        observed = np.bincount(alphas, minlength=11)[1:]
+        expected = d.pmf_array() * len(alphas)
         chi2 = stats.chisquare(observed, expected)
         assert chi2.pvalue > 1e-4
 
