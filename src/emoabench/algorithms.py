@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bounds
 from .benchmarks import ProblemInstance
-from .selection import SteadyStateSelector, ValueIndex, default_reference_point
+from .selection import SteadyStateSelector, ValueIndex
 from .variation import Draws, MutationOperator
 
 
@@ -56,7 +56,6 @@ class AlgorithmConfig:
     max_iterations: int | None = None
     seed: int = 0
     stop_at_coverage: bool = True
-    refpoint: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ("sms_emoa", "gsemo"):
@@ -69,12 +68,10 @@ class AlgorithmConfig:
             raise ValueError(f"population size must be >= 1, got {self.mu}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"iteration cap must be positive, got {self.max_iterations}")
-        if self.algo == "gsemo" and (
-            self.mu is not None or self.refpoint is not None or self.update != "standard"
-        ):
+        if self.algo == "gsemo" and (self.mu is not None or self.update != "standard"):
             raise ValueError(
                 "gsemo keeps an unbounded archive and computes no hypervolume: "
-                "it takes no mu, refpoint or stochastic update"
+                "it takes no mu or stochastic update"
             )
 
 
@@ -257,7 +254,6 @@ def sms_emoa_run(
         )
     stochastic = cfg.update == "stochastic"
     n = inst.n
-    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
 
     draws = Draws(rng)  # rejects a generator other than PCG64 before any draw
     genomes = _random_masks(n, mu, rng) + [0]
@@ -269,7 +265,7 @@ def sms_emoa_run(
         cov.add(t)
     cov.record(0)
 
-    selector = SteadyStateSelector(members, r, _problem_memo(inst)[0])
+    selector = SteadyStateSelector(members, _problem_memo(inst)[0])
     evaluate = inst.evaluate_mask
     mutate = cfg.mutation.mutate_mask
     stop = cfg.stop_at_coverage

@@ -171,12 +171,12 @@ class ProblemInstance:
             for shift in range(0, n, np_):
                 out += table[(mask >> shift & low).bit_count()]
             return out
-        ones = mask.bit_count()
         if self.kind == "omm":
-            return (self.n - ones, ones)
+            ones = mask.bit_count()
+            return (n - ones, ones)
         # lotz: leading ones = trailing set bits of the mask, trailing zeros =
         # clear bits above the highest set bit
-        return ((mask ^ (mask + 1)).bit_length() - 1, self.n - mask.bit_length())
+        return ((mask ^ (mask + 1)).bit_length() - 1, n - mask.bit_length())
 
     @lru_cache(maxsize=None)
     def pareto_front(self) -> frozenset[ObjectiveVector]:

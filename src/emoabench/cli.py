@@ -46,13 +46,6 @@ def _int_or_auto(value: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {value!r}")
 
 
-def _int_tuple(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in value.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
-
-
 def _config_flags(path: str, keys: set[str]) -> list[str]:
     """A flat key=value config file as ``run`` flags, so argparse checks its
     values as it checks the command line; a key is a long flag name without
@@ -93,13 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mutation", choices=["standard", "heavy"], default="standard")
     run_p.add_argument("--beta", type=float, help="power-law exponent, heavy mutation only (1.5)")
     run_p.add_argument("--update", choices=["standard", "stochastic"], default="standard")
-    run_p.add_argument(
-        "--refpoint", type=_int_tuple, default=None,
-        help=(
-            "hypervolume reference point as comma-separated ints (default all -1); "
-            "write it as --refpoint=-2,-2, since argparse takes a bare -2,-2 for a flag"
-        ),
-    )
     run_p.add_argument("--reps", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=0, help="master seed")
     run_p.add_argument(
@@ -139,7 +125,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         update=args.update,
         max_iterations=args.max_iters,
         seed=args.seed,
-        refpoint=args.refpoint,
     )
     spec = ExperimentSpec(
         problem=inst, config=cfg, repetitions=args.reps, master_seed=args.seed,
@@ -147,9 +132,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     rows, bound = run_experiment(spec, jobs=args.jobs)
     summary = summarize(rows)
-    # GSEMO's archive has no mu; an auto mu is the value the run chose
-    mu = "" if cfg.algo == "gsemo" else f" mu={run_limits(inst, cfg)[0]}"
-    print(f"problem={inst} algo={cfg.algo}{mu} mutation={mutation.kind} update={cfg.update}")
+    # GSEMO's archive has no mu or update rule; an auto mu is the value the run chose
+    sms = cfg.algo != "gsemo"
+    mu = f" mu={run_limits(inst, cfg)[0]}" if sms else ""
+    update = f" update={cfg.update}" if sms else ""
+    print(f"problem={inst} algo={args.algo}{mu} mutation={mutation.kind}{update}")
     print(
         f"reps={summary.repetitions} censored={summary.censored} "
         f"mean_iters={summary.mean_iterations:.1f} median={summary.median_iterations:.1f} "

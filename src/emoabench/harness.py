@@ -71,7 +71,7 @@ class ResultRow:
             str(inst.m),
             "" if inst.k is None else str(inst.k),
             ALGO_NAMES[cfg.algo],
-            "" if cfg.mu is None else str(cfg.mu),
+            "" if cfg.algo == "gsemo" else str(run_limits(inst, cfg)[0]),
             "heavy" if heavy else "standard",
             str(cfg.mutation.beta) if heavy else "",
             cfg.update,

@@ -261,7 +261,7 @@ def reference_sms_emoa_run(
     n = inst.n
     stochastic = cfg.update == "stochastic"
     mu, max_iters = run_limits(inst, cfg)
-    r = cfg.refpoint if cfg.refpoint is not None else default_reference_point(inst.m)
+    r = default_reference_point(inst.m)
     slots = []
     for _ in range(mu):
         genome = _random_genome(n, rng)

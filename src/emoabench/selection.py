@@ -179,17 +179,14 @@ class SteadyStateSelector:
     population slots whose vector some other population slot shares.  An
     offspring whose vector is indexed, and a removal that leaves its vector
     present, change only slot state.  The constructor enters the members,
-    slot by slot, through :meth:`set_offspring`'s code.
+    slot by slot, through :meth:`set_offspring`'s code.  Contributions are
+    measured against ``r``, the fixed all-(-1) :func:`default_reference_point`.
     """
 
     __slots__ = ("r", "index", "slots", "vid", "live", "dups", "free")
 
-    def __init__(self, members: Sequence[ObjectiveVector], r: ReferencePoint, index: ValueIndex):
-        # objectives are >= 0, so every member strictly dominates r exactly
-        # when r has one negative coordinate per objective
-        if len(r) != len(members[0]) or max(r) >= 0:
-            raise ValueError(f"reference point {r} needs one negative coordinate per objective")
-        self.r = r
+    def __init__(self, members: Sequence[ObjectiveVector], index: ValueIndex):
+        self.r = default_reference_point(len(index.at))
         self.index = index
         self.slots: list[int] = []
         self.vid = [0] * (len(members) + 1)

@@ -48,7 +48,7 @@ class TestConfig:
             cfg(seed=-1)
 
     def test_gsemo_rejects_options_it_does_not_read(self):
-        for kw in (dict(mu=3), dict(refpoint=(-1, -1)), dict(update="stochastic")):
+        for kw in (dict(mu=3), dict(update="stochastic")):
             with pytest.raises(ValueError, match="gsemo"):
                 cfg(algo="gsemo", **kw)
         assert cfg(algo="gsemo", update="standard").mu is None
@@ -118,19 +118,6 @@ class TestConfig:
             sms_emoa_run(MOJZJ8, cfg(algo="gsemo"))
         with pytest.raises(ValueError):
             gsemo_run(MOJZJ8, cfg(algo="sms_emoa"))
-
-    def test_refpoint_dimension_checked(self):
-        with pytest.raises(ValueError):
-            sms_emoa_run(MOJZJ8, cfg(refpoint=(-1, -1)))
-
-    def test_refpoint_must_lie_below_every_objective(self):
-        # objectives start at 0, so a coordinate >= 0 leaves some attainable
-        # vector not strictly dominating the reference point
-        for r in ((5, 5), (0, -1), (-1, 0)):
-            with pytest.raises(ValueError, match="reference point"):
-                sms_emoa_run(ProblemInstance.oneminmax(3), cfg(refpoint=r))
-        rec = sms_emoa_run(ProblemInstance.oneminmax(3), cfg(refpoint=(-2, -1)))
-        assert not rec.censored
 
 
 class TestSteadyStateRun:

@@ -21,6 +21,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def failing_first_rep(args):
+    """A stand-in repetition, sent to pool workers by reference: rep 0
+    raises, every other rep returns at once."""
+    rep = args[2]
+    if rep == 0:
+        raise ValueError("rep 0 failed")
+    return rep, 1, 1, False, 0.0
+
+
 def run_module(*argv):
     """Run ``python -m emoabench.cli`` in a child process that imports the
     package under test, installed or not."""
@@ -48,13 +57,13 @@ class TestRun:
         )
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == (
-            "problem=mojzj:n=12,m=4,k=2 algo=sms_emoa mu=99 mutation=standard update=stochastic"
+            "problem=mojzj:n=12,m=4,k=2 algo=sms mu=99 mutation=standard update=stochastic"
         )
-        # the archive algorithm has no mu to report
+        # the archive algorithm has no mu or update rule to report
         code = run_cli("run", "--problem", "omm:n=8", "--algo", "gsemo", "--reps", "2")
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == (
-            "problem=omm:n=8 algo=gsemo mutation=standard update=standard"
+            "problem=omm:n=8 algo=gsemo mutation=standard"
         )
 
     def test_csv_output(self, tmp_path, capsys):
@@ -155,10 +164,9 @@ class TestRun:
     def test_gsemo_rejects_options_it_does_not_read(self, capsys):
         base = ("run", "--problem", "mojzj:n=8,m=4,k=2", "--algo", "gsemo", "--reps", "1")
         for extra in (
-            ("--mu", "3", "--update", "stochastic", "--refpoint", "5,5"),
+            ("--mu", "3", "--update", "stochastic"),
             ("--mu", "3"),
             ("--update", "stochastic"),
-            ("--refpoint=-1,-1,-1,-1",),
         ):
             assert run_cli(*base, *extra) == 1
             captured = capsys.readouterr()
@@ -182,24 +190,16 @@ class TestRun:
             assert [row[7] for row in csv.reader(fh)] == ["beta", "1.5", "1.5"]
         assert run_cli(*base, "--mutation", "heavy", "--beta", "0.2") == 1
 
-    def test_refpoint_flag(self, capsys):
-        code = run_cli("run", "--problem", "omm:n=8", "--reps", "1", "--refpoint=-1,-1")
-        assert code == 0
-        code = run_cli("run", "--problem", "omm:n=8", "--reps", "1", "--refpoint=-1,-1,-1")
-        assert code == 1
-        # objectives start at 0: a reference point they need not dominate
-        code = run_cli("run", "--problem", "omm:n=3", "--refpoint=5,5")
-        assert code == 1
-        assert "reference point" in capsys.readouterr().err
-
-    def test_failed_run_creates_no_csv(self, tmp_path, capsys):
-        # the selector rejects these points in the first repetition, before
-        # any row is ready
+    def test_failed_run_creates_no_csv(self, tmp_path, capsys, monkeypatch):
+        # the first repetition fails before any row is ready, pooled or not
+        monkeypatch.setattr(harness, "_one_rep", failing_first_rep)
         out = tmp_path / "rows.csv"
-        for point in ("0,0", "-2,-2,-2"):
-            code = run_cli("run", "--problem", "omm:n=6", f"--refpoint={point}", "--out", str(out))
+        for jobs in ("1", "2"):
+            code = run_cli(
+                "run", "--problem", "omm:n=6", "--reps", "2", "--jobs", jobs, "--out", str(out)
+            )
             assert code == 1
-            assert "reference point" in capsys.readouterr().err
+            assert "error: rep 0 failed" in capsys.readouterr().err
             assert not out.exists()
 
     def test_missing_out_directory_fails_before_any_repetition(
@@ -234,8 +234,8 @@ class TestRun:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "key, value",
-        [("mu", "abc"), ("max-iters", "1.5"), ("refpoint", "a,b")],
-        ids=["mu", "max-iters", "refpoint"],
+        [("mu", "abc"), ("max-iters", "1.5")],
+        ids=["mu", "max-iters"],
     )
     def test_bad_number_names_its_option(self, tmp_path, capsys, key, value, source):
         if source == "flag":
@@ -268,7 +268,7 @@ class TestRun:
         out = tmp_path / "rows.csv"
         options = {
             "problem": "omm:n=8", "algo": "sms", "mu": "12", "mutation": "heavy",
-            "beta": "2.5", "update": "stochastic", "refpoint": "-2,-3", "reps": "2",
+            "beta": "2.5", "update": "stochastic", "reps": "2",
             "seed": "4", "max-iters": "5000", "out": str(out),
         }
         conf = tmp_path / "exp.conf"
@@ -293,6 +293,10 @@ class TestRun:
         conf.write_text("problem = omm:n=6\nrep = 50\nseeed = 3\nbounds = 1\n")
         assert run_cli("run", "--config", str(conf)) == 1
         assert "unknown key 'rep'" in capsys.readouterr().err
+        # the hypervolume reference point is fixed, so it is no key
+        conf.write_text("problem = omm:n=6\nrefpoint = -1,-1\n")
+        assert run_cli("run", "--config", str(conf)) == 1
+        assert "unknown key 'refpoint'" in capsys.readouterr().err
         conf.write_text("problem = omm:n=6\nbounds\n")
         assert run_cli("run", "--config", str(conf)) == 1
         assert ":2: expected key=value, got 'bounds'" in capsys.readouterr().err

@@ -141,9 +141,13 @@ class TestRunExperiment:
         assert first["problem"] == "omm"
         assert first["n"] == "20"
         assert first["algo"] == "sms"
+        assert first["mu"] == "21"  # the auto mu that ran
         assert first["rep"] == "0"
         assert first["censored"] == "0"
         assert int(first["evaluations"]) == int(first["iterations"]) + 21
+        # GSEMO's archive has no mu
+        gsemo = ResultRow(OMM20, cfg(algo="gsemo"), 0, 5, 6, False, 0.0).as_csv()
+        assert gsemo[CSV_HEADER.index("mu")] == ""
 
     def test_deterministic_apart_from_wall_clock(self, tmp_path):
         def strip_seconds(path):

@@ -108,7 +108,7 @@ def fields(sel):
 
 def selector(*objectives):
     """Selector over the combined population, last vector as offspring."""
-    sel = SteadyStateSelector(objectives[:-1], (-1, -1), ValueIndex(2))
+    sel = SteadyStateSelector(objectives[:-1], ValueIndex(2))
     sel.set_offspring(objectives[-1])
     return sel
 
@@ -236,7 +236,7 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
             arr = np.array(pts, dtype=np.int64)
             r = default_reference_point(m)
-            sel = SteadyStateSelector(pts[:-1], r, ValueIndex(len(r)))
+            sel = SteadyStateSelector(pts[:-1], ValueIndex(len(r)))
             sel.set_offspring(pts[-1])
             for s in range(40):
                 a = choose(sel, np.random.default_rng(s))
@@ -251,7 +251,7 @@ class TestSteadyStateSelector:
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
             arr = np.array(pts, dtype=np.int64)
             r = default_reference_point(m)
-            sel = SteadyStateSelector(pts[:-1], r, ValueIndex(len(r)))
+            sel = SteadyStateSelector(pts[:-1], ValueIndex(len(r)))
             sel.set_offspring(pts[-1])
             sub = rng.integers(0, size, size=max(1, size // 2)).tolist()
             for s in range(30):
@@ -270,7 +270,7 @@ class TestSteadyStateSelector:
                 # and dominated members common
                 pool = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size // 2 + 1)]
                 pts = [pool[int(rng.integers(len(pool)))] for _ in range(size)]
-                sel = SteadyStateSelector(pts, default_reference_point(m), ValueIndex(m))
+                sel = SteadyStateSelector(pts, ValueIndex(m))
                 # every member is indexed and live; slot ``size`` starts free
                 assert set(sel.index.vecs) == set(pts) and sel.free == size
                 assert_index_definitions(sel, (1 << size) - 1)
@@ -284,7 +284,7 @@ class TestSteadyStateSelector:
             m = int(rng.integers(2, 5))
             size = int(rng.integers(3, 9))
             pts = [tuple(map(int, rng.integers(0, 4, size=m))) for _ in range(size)]
-            sel = SteadyStateSelector(pts[:-1], default_reference_point(m), ValueIndex(m))
+            sel = SteadyStateSelector(pts[:-1], ValueIndex(m))
             everyone = (1 << size) - 1
             inserted = dict.fromkeys(pts[:-1])
             for _ in range(20):
@@ -302,7 +302,7 @@ class TestSteadyStateSelector:
                 # a fresh build from the members indexes the same members;
                 # ids may be numbered differently, and a grown table may
                 # keep entries past the current maximum
-                fresh = SteadyStateSelector(slot_vectors(sel), sel.r, ValueIndex(m))
+                fresh = SteadyStateSelector(slot_vectors(sel), ValueIndex(m))
                 width = [len(col) for col in fresh.index.at]
                 assert live_index(sel, width) == live_index(fresh, width)
                 removed = choose(sel, rng)
@@ -317,7 +317,7 @@ class TestSteadyStateSelector:
 
     def test_dead_ids_are_revived_not_reused(self):
         r = (-1, -1)
-        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], r, ValueIndex(2))
+        sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], ValueIndex(2))
         index = sel.index
 
         def dup_slots():
@@ -377,7 +377,7 @@ class TestSteadyStateSelector:
 
         monkeypatch.setattr(SteadyStateSelector, "set_offspring", counted)
         members = [(0, 2), (1, 1), (0, 2), (2, 0), (1, 1)]
-        sel = SteadyStateSelector(members, (-1, -1), ValueIndex(2))
+        sel = SteadyStateSelector(members, ValueIndex(2))
         assert calls == []
         rng = np.random.default_rng(0)
         offspring = [(3, 0), (0, 2), (1, 1), (0, 4)]
@@ -390,7 +390,7 @@ class TestSteadyStateSelector:
         # the caller's list is neither kept nor written: the selector is the
         # one record of each slot's vector
         members = [(0, 2), (2, 0), (1, 1)]
-        sel = SteadyStateSelector(members, (-1, -1), ValueIndex(2))
+        sel = SteadyStateSelector(members, ValueIndex(2))
         assert all(getattr(sel, name) is not members for name in SteadyStateSelector.__slots__)
         sel.set_offspring((0, 0))
         assert members == [(0, 2), (2, 0), (1, 1)] and sel.free == 3
@@ -402,38 +402,42 @@ class TestSteadyStateSelector:
         assert sel.commit_removal(2) is None
         assert slot_vectors(sel)[:2] + slot_vectors(sel)[3:] == [(0, 2), (2, 0), (1, 1)]
 
-    def test_reference_point_must_be_strictly_dominated(self):
-        # objectives are >= 0, so every member strictly dominates r exactly
-        # when r has one negative coordinate per objective
-        pts = [(0, 2), (2, 0), (1, 1)]
-        for r in ((-1,), (-1, -1, -1), (0, -1), (-1, 0), (5, 5)):
-            with pytest.raises(ValueError, match="reference point"):
-                SteadyStateSelector(list(pts), r, ValueIndex(len(r)))
-        assert SteadyStateSelector(list(pts), (-3, -1), ValueIndex(2)).r == (-3, -1)
+    def test_reference_point_is_all_minus_one(self):
+        # the removal on this last front depends on the reference point:
+        # (0, 6) contributes least at (-1, -1), (0, 6) and (2, 3) tie at
+        # (-2, -2), and (2, 3) contributes least at (-10, -10)
+        members = [(0, 6), (2, 3)]
+        arr = np.array(members + [(6, 0)], dtype=np.int64)
+        sel = SteadyStateSelector(members, ValueIndex(2))
+        sel.set_offspring((6, 0))
+        assert sel.r == default_reference_point(2) == (-1, -1)
+        for s in range(10):
+            assert choose(sel, np.random.default_rng(s)) == 0
+            assert select_removal_index(arr, sel.r, np.random.default_rng(s)) == 0
 
     def test_negative_objective_values_rejected(self):
         # the value index is addressed by objective value
         with pytest.raises(ValueError, match=">= 0"):
-            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2), ValueIndex(2))
+            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], ValueIndex(2))
         sel = selector((0, 2), (2, 0), (1, 1))
         sel.commit_removal(1)
         # a second selector on the shared index sees every rejection too
-        other = SteadyStateSelector([(2, 0), (0, 2)], (-1, -1), sel.index)
+        other = SteadyStateSelector([(2, 0), (0, 2)], sel.index)
 
         before = fields(sel), fields(other)
         with pytest.raises(ValueError, match=">= 0"):
             sel.set_offspring((3, -1))
         with pytest.raises(ValueError, match=">= 0"):
-            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], (-2, -2), sel.index)
+            SteadyStateSelector([(0, 2), (-1, 3), (2, 0)], sel.index)
         assert (fields(sel), fields(other)) == before
 
     def test_wrong_objective_count_rejected(self):
         # zip would index a short or long vector by its truncated coordinates
         for members in ([(0, 2), (2, 0, 5), (1, 1)], [(0, 2), (1, 1), (2,)]):
             with pytest.raises(ValueError, match="does not have 2 objectives"):
-                SteadyStateSelector(members, (-1, -1), ValueIndex(2))
-        sel = SteadyStateSelector([(0, 2), (2, 0), (1, 1)], (-1, -1), ValueIndex(2))
-        other = SteadyStateSelector([(1, 1), (1, 1)], (-1, -1), sel.index)
+                SteadyStateSelector(members, ValueIndex(2))
+        sel = SteadyStateSelector([(0, 2), (2, 0), (1, 1)], ValueIndex(2))
+        other = SteadyStateSelector([(1, 1), (1, 1)], sel.index)
         before = fields(sel), fields(other)
         with pytest.raises(ValueError, match="does not have 2 objectives"):
             sel.set_offspring((1,))
@@ -444,15 +448,15 @@ class TestSteadyStateSelector:
         with pytest.raises(ValueError, match="does not have 2 objectives"):
             sel.set_offspring((3, 3, 3))
         with pytest.raises(ValueError, match="does not have 2 objectives"):
-            SteadyStateSelector([(0, 2), (3, 3, 3)], (-1, -1), sel.index)
+            SteadyStateSelector([(0, 2), (3, 3, 3)], sel.index)
         assert (fields(sel), fields(other)) == before
 
     def test_two_selectors_on_one_index(self):
         r = (-1, -1, -1)
         index = ValueIndex(3)
-        a = SteadyStateSelector([(0, 2, 1), (1, 1, 1), (0, 2, 1)], r, index)
+        a = SteadyStateSelector([(0, 2, 1), (1, 1, 1), (0, 2, 1)], index)
         # b enters (2, 0, 0), (3, 0, 0) and then (0, 0, 3) after a last grew
-        b = SteadyStateSelector([(2, 0, 0), (3, 0, 0), (1, 1, 1)], r, index)
+        b = SteadyStateSelector([(2, 0, 0), (3, 0, 0), (1, 1, 1)], index)
         assert b.set_offspring((0, 0, 3)) is True
         assert index.vecs == [(0, 2, 1), (1, 1, 1), (2, 0, 0), (3, 0, 0), (0, 0, 3)]
         assert len(a.slots) == 2
@@ -501,7 +505,7 @@ class TestSteadyStateSelector:
         sampled = data.draw(st.booleans(), label="sampled")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         r = default_reference_point(m)
-        sel = SteadyStateSelector(pop[:-1], r, ValueIndex(m))
+        sel = SteadyStateSelector(pop[:-1], ValueIndex(m))
         sel.set_offspring(pop[-1])
         sel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(40):
