@@ -1,5 +1,6 @@
 """Run loops: configuration, determinism, accounting, and invariants."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -52,6 +53,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="gsemo"):
                 cfg(algo="gsemo", **kw)
         assert cfg(algo="gsemo", update="standard").mu is None
+
+    def test_reference_point_is_no_option(self):
+        # the run path measures every contribution against (-1, ..., -1)
+        names = [f.name for f in dataclasses.fields(AlgorithmConfig)]
+        assert names == [
+            "algo", "mu", "mutation", "update", "max_iterations", "seed", "stop_at_coverage"
+        ]
+        with pytest.raises(TypeError, match="refpoint"):
+            cfg(refpoint=(-1, -1))
 
     def test_auto_mu(self):
         assert auto_mu(MOJZJ8) == 25  # (n'+1)^(m/2)

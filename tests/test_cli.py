@@ -190,6 +190,27 @@ class TestRun:
             assert [row[7] for row in csv.reader(fh)] == ["beta", "1.5", "1.5"]
         assert run_cli(*base, "--mutation", "heavy", "--beta", "0.2") == 1
 
+    def test_refpoint_flag_is_unrecognized(self, capsys):
+        # the hypervolume reference point is fixed, so it is no flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--problem", "omm:n=8", "--refpoint=-1,-1")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --refpoint=-1,-1" in capsys.readouterr().err
+
+    def test_csv_mu_column_matches_summary(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        for algo, mu in (("sms", "9"), ("gsemo", "")):
+            code = run_cli(
+                "run", "--problem", "omm:n=8", "--algo", algo, "--reps", "2", "--out", str(out)
+            )
+            assert code == 0
+            summary = capsys.readouterr().out.splitlines()[0]
+            assert (f" mu={mu} " in summary) == (algo == "sms")
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))
+            column = rows[0].index("mu")
+            assert [row[column] for row in rows[1:]] == [mu, mu]
+
     def test_failed_run_creates_no_csv(self, tmp_path, capsys, monkeypatch):
         # the first repetition fails before any row is ready, pooled or not
         monkeypatch.setattr(harness, "_one_rep", failing_first_rep)
@@ -234,8 +255,8 @@ class TestRun:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "key, value",
-        [("mu", "abc"), ("max-iters", "1.5")],
-        ids=["mu", "max-iters"],
+        [("mu", "abc"), ("max-iters", "1.5"), ("beta", "abc"), ("seed", "x")],
+        ids=["mu", "max-iters", "beta", "seed"],
     )
     def test_bad_number_names_its_option(self, tmp_path, capsys, key, value, source):
         if source == "flag":
