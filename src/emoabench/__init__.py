@@ -12,13 +12,7 @@ from .benchmarks import (
 from .bounds import bound_value
 from .core import ObjectiveVector, dominates, incomparable, weakly_dominates
 from .harness import ExperimentSpec, ResultRow, run_experiment, summarize
-from .oracle import (
-    OracleBudget,
-    brute_force_front,
-    hv_inclusion_exclusion,
-    hv_monte_carlo,
-    verify_antichain,
-)
+from .oracle import brute_force_front, hv_inclusion_exclusion, verify_antichain
 from .selection import default_reference_point, hypervolume
 from .variation import MutationOperator, PowerLawDistribution
 
@@ -29,8 +23,7 @@ __all__ = [
     "bound_value",
     "ObjectiveVector", "dominates", "incomparable", "weakly_dominates",
     "ExperimentSpec", "ResultRow", "run_experiment", "summarize",
-    "OracleBudget", "brute_force_front", "hv_inclusion_exclusion", "hv_monte_carlo",
-    "verify_antichain",
+    "brute_force_front", "hv_inclusion_exclusion", "verify_antichain",
     "default_reference_point", "hypervolume",
     "MutationOperator", "PowerLawDistribution",
 ]

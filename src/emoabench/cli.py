@@ -21,7 +21,7 @@ from pathlib import Path
 from .algorithms import AlgorithmConfig, run_limits
 from .benchmarks import parse_problem
 from .harness import ALGO_NAMES, ExperimentSpec, run_experiment, summarize
-from .oracle import OracleBudget, run_verification
+from .oracle import run_verification
 from .variation import MutationOperator
 
 USAGE_ERROR = 1
@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument(
         "--max-n", type=int, default=14, help="exhaustive enumeration cap (2..24)"
     )
-    verify_p.add_argument("--mc-samples", type=int, default=10**6)
     verify_p.add_argument("--seed", type=int, default=0)
 
     front_p = sub.add_parser("front", help="print the closed-form Pareto front")
@@ -136,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sms = cfg.algo != "gsemo"
     mu = f" mu={run_limits(inst, cfg)[0]}" if sms else ""
     update = f" update={cfg.update}" if sms else ""
-    print(f"problem={inst} algo={args.algo}{mu} mutation={mutation.kind}{update}")
+    print(f"problem={inst} algo={args.algo}{mu} mutation={args.mutation}{update}")
     print(
         f"reps={summary.repetitions} censored={summary.censored} "
         f"mean_iters={summary.mean_iterations:.1f} median={summary.median_iterations:.1f} "
@@ -149,7 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     failed = False
     if args.bounds and bound is None:
-        setting = f"{inst} with {cfg.algo}/{mutation.kind} mutation"
+        setting = f"{inst} with {args.algo}/{args.mutation} mutation"
         print(f"bound: no closed-form bound for {setting}")
     elif args.bounds:
         failed = not bound.passed
@@ -164,8 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = OracleBudget(max_n_exhaustive=args.max_n, mc_samples=args.mc_samples)
-    results = run_verification(budget, seed=args.seed)
+    results = run_verification(args.max_n, seed=args.seed)
     failed = False
     for name, ok, detail in results:
         status = "skipped" if ok is None else "ok" if ok else "MISMATCH"

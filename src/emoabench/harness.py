@@ -65,16 +65,18 @@ class ResultRow:
     def as_csv(self) -> list[str]:
         inst, cfg = self.problem, self.config
         heavy = cfg.mutation.kind == "heavy_tailed"
+        # GSEMO's archive has no mu or update rule
+        gsemo = cfg.algo == "gsemo"
         return [
             inst.kind,
             str(inst.n),
             str(inst.m),
             "" if inst.k is None else str(inst.k),
             ALGO_NAMES[cfg.algo],
-            "" if cfg.algo == "gsemo" else str(run_limits(inst, cfg)[0]),
+            "" if gsemo else str(run_limits(inst, cfg)[0]),
             "heavy" if heavy else "standard",
             str(cfg.mutation.beta) if heavy else "",
-            cfg.update,
+            "" if gsemo else cfg.update,
             str(cfg.seed),
             str(self.rep),
             str(self.iterations),

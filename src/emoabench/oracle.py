@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the main code paths it checks: the
 front comes from exhaustive enumeration instead of the closed form, the
-hypervolume from inclusion-exclusion or Monte-Carlo sampling instead of the
-dimension sweep, the survivor choice from array-based front peeling and
-leave-one-out hypervolume instead of the incremental selector, and whole
+hypervolume from inclusion-exclusion instead of the dimension sweep, the
+survivor choice from array-based front peeling and leave-one-out
+hypervolume instead of the incremental selector, and whole
 SMS-EMOA and GSEMO runs from plain population lists and per-iteration
 recounts instead of the runs' incremental bookkeeping.  The reference runs
 draw through numpy's ``Generator`` calls throughout, never through the run
@@ -16,7 +16,6 @@ demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,33 +33,11 @@ from .selection import ReferencePoint, default_reference_point, hypervolume
 from .variation import MutationOperator, power_law
 
 
-@dataclass(frozen=True, slots=True)
-class OracleBudget:
-    """Caps on brute-force work."""
-
-    max_n_exhaustive: int = 14
-    mc_samples: int = 10**6
-
-    def __post_init__(self) -> None:
-        if self.max_n_exhaustive > 24:
-            raise ValueError("exhaustive enumeration beyond n=24 is not desk-scale")
-        # below n=2 every brute-force check would skip all its instances
-        if self.max_n_exhaustive < 2:
-            raise ValueError(
-                f"exhaustive enumeration cap must be >= 2, got {self.max_n_exhaustive}"
-            )
-        # checked here as well as in hv_monte_carlo, so a bad sample count
-        # fails before any exhaustive check runs
-        if self.mc_samples < 10**3:
-            raise ValueError(f"at least 1000 samples required, got {self.mc_samples}")
-
-
-def brute_force_front(
-    inst: ProblemInstance, budget: OracleBudget = OracleBudget()
-) -> frozenset[ObjectiveVector]:
-    """Enumerate all 2^n genomes and keep the non-dominated objective values."""
-    if inst.n > budget.max_n_exhaustive:
-        raise ValueError(f"n={inst.n} exceeds the exhaustive budget {budget.max_n_exhaustive}")
+def brute_force_front(inst: ProblemInstance, max_n: int = 14) -> frozenset[ObjectiveVector]:
+    """Enumerate all 2^n genomes, n <= max_n, and keep the non-dominated
+    objective values."""
+    if inst.n > max_n:
+        raise ValueError(f"n={inst.n} exceeds the exhaustive budget {max_n}")
     values = sorted({inst.evaluate_mask(mask) for mask in range(1 << inst.n)})
     front = [
         v
@@ -87,36 +64,6 @@ def hv_inclusion_exclusion(points: Iterable[ObjectiveVector], r: ReferencePoint)
                 vol *= min(coord) - rc
             total += sign * vol
     return total
-
-
-def hv_monte_carlo(
-    points: Sequence[ObjectiveVector],
-    r: ReferencePoint,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Unbiased estimate of the union volume with its standard error.
-
-    Uniform sampling in the bounding box between r and the coordinatewise
-    maximum of the point set.
-    """
-    pts = [tuple(p) for p in points]
-    if not pts:
-        return 0.0, 0.0
-    if samples < 10**3:
-        raise ValueError(f"at least 1000 samples required, got {samples}")
-    lo = np.array(r, dtype=float)
-    hi = np.array([max(c) for c in zip(*pts)], dtype=float)
-    box = float(np.prod(hi - lo))
-    draws = rng.uniform(lo, hi, size=(samples, len(r)))
-    arr = np.array(pts, dtype=float)
-    inside = np.zeros(samples, dtype=bool)
-    for p in arr:
-        inside |= (draws <= p).all(axis=1)
-    frac = inside.mean()
-    est = box * float(frac)
-    se = box * float(np.sqrt(frac * (1.0 - frac) / samples))
-    return est, se
 
 
 def front_indices(objectives: np.ndarray) -> list[np.ndarray]:
@@ -342,13 +289,16 @@ def random_antichain(
     return out
 
 
-def run_verification(
-    budget: OracleBudget = OracleBudget(), seed: int = 0
-) -> list[tuple[str, bool | None, str]]:
-    """Cross-check the closed forms and the hypervolume engine; returns
-    (check name, passed, detail) rows, where passed is None for a check
-    whose instances the budget all skipped.  Used by the CLI ``verify``
-    subcommand."""
+def run_verification(max_n: int = 14, seed: int = 0) -> list[tuple[str, bool | None, str]]:
+    """Cross-check the closed forms and the hypervolume engine, enumerating
+    instances of n <= max_n only; returns (check name, passed, detail)
+    rows, where passed is None for a check whose instances all lie above
+    max_n.  Used by the CLI ``verify`` subcommand."""
+    if max_n > 24:
+        raise ValueError("exhaustive enumeration beyond n=24 is not desk-scale")
+    # below n=2 every brute-force check would skip all its instances
+    if max_n < 2:
+        raise ValueError(f"exhaustive enumeration cap must be >= 2, got {max_n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -356,9 +306,9 @@ def run_verification(
 
     def within_budget(insts: list[ProblemInstance]) -> tuple[list[ProblemInstance], str]:
         """The instances the exhaustive budget allows, and a note on the rest."""
-        kept = [inst for inst in insts if inst.n <= budget.max_n_exhaustive]
+        kept = [inst for inst in insts if inst.n <= max_n]
         skipped = len(insts) - len(kept)
-        note = f"{skipped} of {len(insts)} above n={budget.max_n_exhaustive} skipped"
+        note = f"{skipped} of {len(insts)} above n={max_n} skipped"
         return kept, note if skipped else ""
 
     # closed-form front vs exhaustive enumeration
@@ -375,7 +325,7 @@ def run_verification(
     detail = ""
     for inst in cases:
         closed = inst.pareto_front()
-        brute = brute_force_front(inst, budget)
+        brute = brute_force_front(inst, max_n)
         expect = (inst.nprime - 2 * inst.k + 3) ** (inst.m // 2)
         if closed != brute or len(closed) != expect:
             ok, detail = False, f"front mismatch on {inst}"
@@ -390,7 +340,7 @@ def run_verification(
     )
     for inst in cases:
         # a genome is non-dominated iff its vector is on the enumerated front
-        front = brute_force_front(inst, budget)
+        front = brute_force_front(inst, max_n)
         for mask in range(1 << inst.n):
             if is_pareto_optimal(mask, inst) != (inst.evaluate_mask(mask) in front):
                 ok, detail = False, f"membership mismatch at mask={mask} on {inst}"
@@ -413,19 +363,6 @@ def run_verification(
             ok, detail = False, f"HV mismatch on trial {trial}: {a} vs {b}"
             break
     results.append(("dimension-sweep HV vs inclusion-exclusion", ok, detail or "200 antichains"))
-
-    # inclusion-exclusion vs Monte-Carlo
-    ok, detail = True, ""
-    for trial in range(5):
-        m = int(rng.integers(2, 5))
-        pts = random_antichain(rng, 8, m)
-        r = default_reference_point(m)
-        exact = hv_inclusion_exclusion(pts, r)
-        est, se = hv_monte_carlo(pts, r, budget.mc_samples, rng)
-        if abs(est - exact) > 4 * max(se, 1e-9):
-            ok, detail = False, f"MC estimate {est}+-{se} far from exact {exact}"
-            break
-    results.append(("inclusion-exclusion vs Monte-Carlo", ok, detail or "5 antichains"))
 
     # incomparable-family construction
     fam = incomparable_family(8, 3)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import emoabench
-from emoabench import cli, harness, oracle
+from emoabench import harness, oracle
 from emoabench.benchmarks import ProblemInstance
 from emoabench.cli import main
 
@@ -103,12 +103,12 @@ class TestRun:
     @pytest.mark.parametrize(
         "argv, setting",
         [
-            (["--problem", "momm:n=8,m=4"], "momm:n=8,m=4 with sms_emoa/standard"),
+            (["--problem", "momm:n=8,m=4"], "momm:n=8,m=4 with sms/standard"),
             (["--problem", "mojzj:n=8,m=2,k=2", "--mutation", "heavy"],
-             "mojzj:n=8,m=2,k=2 with sms_emoa/heavy_tailed"),
+             "mojzj:n=8,m=2,k=2 with sms/heavy"),
             (["--problem", "omm:n=6", "--algo", "gsemo"], "omm:n=6 with gsemo/standard"),
             (["--problem", "mojzj:n=8,m=4,k=2", "--algo", "gsemo", "--mutation", "heavy"],
-             "mojzj:n=8,m=4,k=2 with gsemo/heavy_tailed"),
+             "mojzj:n=8,m=4,k=2 with gsemo/heavy"),
         ],
         ids=["momm", "heavy-tailed", "gsemo-omm", "gsemo-heavy"],
     )
@@ -199,17 +199,20 @@ class TestRun:
 
     def test_csv_mu_column_matches_summary(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
-        for algo, mu in (("sms", "9"), ("gsemo", "")):
+        # GSEMO's archive has neither a mu nor an update rule to write
+        for algo, mu, update in (("sms", "9", "standard"), ("gsemo", "", "")):
             code = run_cli(
                 "run", "--problem", "omm:n=8", "--algo", algo, "--reps", "2", "--out", str(out)
             )
             assert code == 0
             summary = capsys.readouterr().out.splitlines()[0]
             assert (f" mu={mu} " in summary) == (algo == "sms")
+            assert summary.endswith(f" update={update}") == (algo == "sms")
             with open(out, newline="") as fh:
                 rows = list(csv.reader(fh))
-            column = rows[0].index("mu")
-            assert [row[column] for row in rows[1:]] == [mu, mu]
+            for name, value in (("mu", mu), ("update", update)):
+                column = rows[0].index(name)
+                assert [row[column] for row in rows[1:]] == [value, value]
 
     def test_failed_run_creates_no_csv(self, tmp_path, capsys, monkeypatch):
         # the first repetition fails before any row is ready, pooled or not
@@ -305,7 +308,7 @@ class TestRun:
             runs.append((code, capsys.readouterr().out, rows))
         assert runs[0] == runs[1]
         code, printed, rows = runs[0]
-        assert "bound[omm]" in printed and "mutation=heavy_tailed update=stochastic" in printed
+        assert "bound[omm]" in printed and "mutation=heavy update=stochastic" in printed
         assert rows[1][:10] == ["omm", "8", "2", "", "sms", "12", "heavy", "2.5", "stochastic", "4"]
         assert len(rows) == 3
 
@@ -361,14 +364,14 @@ class TestFront:
 
 class TestVerify:
     def test_verify_passes(self, capsys):
-        code = run_cli("verify", "--max-n", "12", "--mc-samples", "100000")
+        code = run_cli("verify", "--max-n", "12")
         out = capsys.readouterr().out
         assert code == 0
         assert "[ok]" in out
         assert "MISMATCH" not in out
 
     def test_small_max_n_skips_larger_instances(self, capsys):
-        code = run_cli("verify", "--max-n", "8", "--mc-samples", "1000")
+        code = run_cli("verify", "--max-n", "8")
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert "MISMATCH" not in "".join(lines)
@@ -387,10 +390,10 @@ class TestVerify:
             lambda mask, inst: right(mask, inst) != (mask == 5 and inst.n == 8),
         )
         detail = f"membership mismatch at mask=5 on {ProblemInstance.mojzj(8, 4, 2)}"
-        results = oracle.run_verification(oracle.OracleBudget(8, 1000))
+        results = oracle.run_verification(max_n=8)
         assert results[1] == ("block membership vs brute-force non-dominance", False, detail)
         assert all(ok for _, ok, _ in results[:1] + results[2:])
-        code = run_cli("verify", "--max-n", "8", "--mc-samples", "1000")
+        code = run_cli("verify", "--max-n", "8")
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
         assert lines[1] == f"[MISMATCH] block membership vs brute-force non-dominance ({detail})"
@@ -400,34 +403,32 @@ class TestVerify:
         [
             (0, "brute_force_front", r"front mismatch on mojzj:n=6,m=4,k=1"),
             (2, "hypervolume", r"HV mismatch on trial 0: (\d+) vs (\d+)"),
-            (3, "hv_monte_carlo", r"MC estimate -1\.0\+-0\.0 far from exact \d+"),
         ],
     )
     def test_engine_mismatch_is_reported_and_exits_2(
         self, capsys, monkeypatch, row, name, detail
     ):
-        # a front wrong on one instance, a sweep off by one, a far estimate
+        # a front wrong on one instance, a sweep off by one
         right, target = getattr(oracle, name), ProblemInstance.mojzj(6, 4, 1)
         wrong = {
-            "brute_force_front": lambda inst, budget: right(inst, budget)
-            - ({max(right(inst, budget))} if inst == target else set()),
+            "brute_force_front": lambda inst, max_n: right(inst, max_n)
+            - ({max(right(inst, max_n))} if inst == target else set()),
             "hypervolume": lambda pts, r: right(pts, r) + 1,
-            "hv_monte_carlo": lambda pts, r, samples, rng: (-1.0, 0.0),
         }[name]
         monkeypatch.setattr(oracle, name, wrong)
-        results = oracle.run_verification(oracle.OracleBudget(8, 1000))
+        results = oracle.run_verification(max_n=8)
         assert [ok for _, ok, _ in results] == [i != row for i in range(len(results))]
         found = re.fullmatch(detail, results[row][2])
         assert found
         if name == "hypervolume":
             assert int(found[1]) == int(found[2]) + 1
-        code = run_cli("verify", "--max-n", "8", "--mc-samples", "1000")
+        code = run_cli("verify", "--max-n", "8")
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
         assert lines[row] == f"[MISMATCH] {results[row][0]} ({results[row][2]})"
 
     def test_fully_skipped_check_reads_skipped(self, capsys):
-        code = run_cli("verify", "--max-n", "7", "--mc-samples", "1000")
+        code = run_cli("verify", "--max-n", "7")
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert lines[1] == (
@@ -437,28 +438,28 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_n", ["1", "-3"])
     def test_max_n_below_two_is_usage_error(self, capsys, max_n):
-        code = run_cli("verify", "--max-n", max_n, "--mc-samples", "1000")
+        code = run_cli("verify", "--max-n", max_n)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert f"exhaustive enumeration cap must be >= 2, got {max_n}" in captured.err
 
-    @pytest.mark.parametrize("samples", ["0", "999"])
-    def test_too_few_mc_samples_is_usage_error_before_any_check(
-        self, capsys, monkeypatch, samples
-    ):
-        def no_checks(*args, **kwargs):
-            raise AssertionError("the checks started")
-
-        monkeypatch.setattr(cli, "run_verification", no_checks)
-        code = run_cli("verify", "--mc-samples", samples)
+    def test_max_n_above_24_is_usage_error(self, capsys):
+        code = run_cli("verify", "--max-n", "25")
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert f"at least 1000 samples required, got {samples}" in captured.err
+        assert "exhaustive enumeration beyond n=24 is not desk-scale" in captured.err
+
+    def test_monte_carlo_flag_is_unrecognized(self, capsys):
+        # every hypervolume check is exact, so no sample count is read
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--mc-samples", "1000")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --mc-samples 1000" in capsys.readouterr().err
 
     def test_negative_seed_is_usage_error(self, capsys):
-        code = run_cli("verify", "--seed", "-1", "--mc-samples", "1000")
+        code = run_cli("verify", "--seed", "-1")
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

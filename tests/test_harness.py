@@ -145,9 +145,11 @@ class TestRunExperiment:
         assert first["rep"] == "0"
         assert first["censored"] == "0"
         assert int(first["evaluations"]) == int(first["iterations"]) + 21
-        # GSEMO's archive has no mu
+        assert first["update"] == "standard"
+        # GSEMO's archive has no mu and no update rule
         gsemo = ResultRow(OMM20, cfg(algo="gsemo"), 0, 5, 6, False, 0.0).as_csv()
         assert gsemo[CSV_HEADER.index("mu")] == ""
+        assert gsemo[CSV_HEADER.index("update")] == ""
 
     def test_deterministic_apart_from_wall_clock(self, tmp_path):
         def strip_seconds(path):

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from emoabench import oracle
 from emoabench.benchmarks import ProblemInstance, incomparable_family, is_pareto_optimal
 from emoabench.oracle import (
-    OracleBudget,
     brute_force_front,
     hv_inclusion_exclusion,
-    hv_monte_carlo,
     random_antichain,
     run_verification,
     verify_antichain,
@@ -16,29 +15,32 @@ from emoabench.oracle import (
 from emoabench.selection import hypervolume
 
 
-class TestBudget:
-    def test_defaults(self):
-        b = OracleBudget()
-        assert b.max_n_exhaustive == 14
-        assert b.mc_samples == 10**6
+class TestMaxN:
+    @pytest.fixture
+    def no_checks(self, monkeypatch):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("the checks started")
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            OracleBudget(max_n_exhaustive=25)
+        monkeypatch.setattr(oracle, "brute_force_front", no_checks)
 
-    def test_floor(self):
+    def test_cap_checked_before_any_check(self, no_checks):
+        with pytest.raises(ValueError, match="beyond n=24 is not desk-scale"):
+            run_verification(max_n=25)
+
+    def test_floor_checked_before_any_check(self, no_checks):
         # below n=2 the brute-force checks would enumerate no instance
         for max_n in (1, 0, -3):
-            with pytest.raises(ValueError, match=">= 2"):
-                OracleBudget(max_n_exhaustive=max_n)
-        assert OracleBudget(max_n_exhaustive=2).max_n_exhaustive == 2
+            with pytest.raises(ValueError, match=f"must be >= 2, got {max_n}"):
+                run_verification(max_n=max_n)
 
-    def test_sample_floor(self):
-        # hv_monte_carlo needs 1000 samples; the budget refuses fewer up front
-        for samples in (999, 0, -1):
-            with pytest.raises(ValueError, match="at least 1000 samples"):
-                OracleBudget(mc_samples=samples)
-        assert OracleBudget(mc_samples=1000).mc_samples == 1000
+    def test_cap_and_floor_are_inclusive(self):
+        for max_n in (2, 24):
+            assert all(ok is not False for _, ok, _ in run_verification(max_n=max_n))
+
+    def test_default_cap_is_14(self):
+        assert len(brute_force_front(ProblemInstance.oneminmax(14))) == 15
+        with pytest.raises(ValueError, match="n=15 exceeds the exhaustive budget 14"):
+            brute_force_front(ProblemInstance.oneminmax(15))
 
 
 class TestBruteForceFront:
@@ -55,7 +57,7 @@ class TestBruteForceFront:
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_front(ProblemInstance.oneminmax(15), OracleBudget(max_n_exhaustive=14))
+            brute_force_front(ProblemInstance.oneminmax(15), max_n=14)
 
     def test_membership_matches_block_characterization(self):
         inst = ProblemInstance.mojzj(8, 4, 2)
@@ -95,29 +97,6 @@ class TestInclusionExclusion:
             assert hypervolume(pts, r) == hv_inclusion_exclusion(pts, r)
 
 
-class TestMonteCarlo:
-    def test_singleton_estimate(self):
-        rng = np.random.default_rng(1)
-        est, se = hv_monte_carlo([(1, 2)], (-1, -1), 10**5, rng)
-        assert abs(est - 6.0) < 3 * se + 1e-9
-
-    def test_empty_set(self):
-        rng = np.random.default_rng(2)
-        est, se = hv_monte_carlo([], (-1, -1), 10**4, rng)
-        assert est == 0.0
-
-    def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            hv_monte_carlo([(1, 1)], (-1, -1), 100, np.random.default_rng(3))
-
-    def test_agrees_with_exact(self):
-        rng = np.random.default_rng(4)
-        pts = random_antichain(rng, 6, 3)
-        exact = hv_inclusion_exclusion(pts, (-1, -1, -1))
-        est, se = hv_monte_carlo(pts, (-1, -1, -1), 2 * 10**5, rng)
-        assert abs(est - exact) < 4 * max(se, 1e-9)
-
-
 class TestAntichainChecks:
     def test_family_is_incomparable(self):
         inst = ProblemInstance.mojzj(16, 4, 4)
@@ -140,7 +119,7 @@ class TestAntichainChecks:
 
 
 def test_full_verification_suite_passes():
-    results = run_verification(OracleBudget(mc_samples=10**5), seed=0)
+    results = run_verification(seed=0)
     assert results, "verification produced no checks"
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
