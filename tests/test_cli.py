@@ -436,7 +436,7 @@ class TestVerify:
         )
         assert all(line.startswith("[ok] ") for line in lines[:1] + lines[2:])
 
-    @pytest.mark.parametrize("max_n", ["1", "-3"])
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
     def test_max_n_below_two_is_usage_error(self, capsys, max_n):
         code = run_cli("verify", "--max-n", max_n)
         captured = capsys.readouterr()

@@ -33,6 +33,21 @@ class TestMaxN:
             with pytest.raises(ValueError, match=f"must be >= 2, got {max_n}"):
                 run_verification(max_n=max_n)
 
+    def test_negative_seed_checked_before_any_check(self, no_checks):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_verification(seed=-1)
+
+    def test_rows_name_the_four_exact_checks(self):
+        # every remaining check is exact, and a seed fixes every row
+        results = run_verification(max_n=8, seed=3)
+        assert [name for name, _, _ in results] == [
+            "closed-form front vs brute force",
+            "block membership vs brute-force non-dominance",
+            "dimension-sweep HV vs inclusion-exclusion",
+            "incomparable family antichain",
+        ]
+        assert run_verification(max_n=8, seed=3) == results
+
     def test_cap_and_floor_are_inclusive(self):
         for max_n in (2, 24):
             assert all(ok is not False for _, ok, _ in run_verification(max_n=max_n))
@@ -70,6 +85,13 @@ class TestInclusionExclusion:
     def test_two_point_value(self):
         assert hv_inclusion_exclusion([(0, 2), (2, 0)], (-1, -1)) == 5
 
+    def test_empty_set_is_zero(self):
+        assert hv_inclusion_exclusion([], (-1, -1)) == 0
+
+    def test_singleton_is_its_box(self):
+        assert hv_inclusion_exclusion([(1, 2)], (-1, -1)) == 2 * 3
+        assert hv_inclusion_exclusion([(2, 0, 1)], (-1, -1, -1)) == 3 * 1 * 2
+
     def test_duplicate_is_idempotent(self):
         pts = [(3, 1), (1, 3)]
         assert hv_inclusion_exclusion(pts + [pts[0]], (-1, -1)) == hv_inclusion_exclusion(
@@ -82,6 +104,10 @@ class TestInclusionExclusion:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hv_inclusion_exclusion([(i, 16 - i) for i in range(16)], (-1, -1))
+
+    def test_size_cap_admits_fifteen_points(self):
+        pts = [(i, 14 - i) for i in range(15)]
+        assert hv_inclusion_exclusion(pts, (-1, -1)) == hypervolume(pts, (-1, -1))
 
     def test_reference_must_be_strictly_dominated(self):
         for pts, r in ([(0, 2), (2, 0)], (0, -1)), ([(0, 2)], (-1, -1, -1)):
