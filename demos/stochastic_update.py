@@ -8,9 +8,8 @@ probability of surviving each step regardless of its contribution.
 
 The script runs both variants on a block-jump instance with a doubled
 population for the stochastic one, and reports coverage times and how often
-a held front value left the population (``coverage_violations``).  That count
-includes losses before full coverage, and an offspring with a new front value
-that is removed in its own iteration.
+a front value held at one iteration's end was gone at the next
+(``coverage_violations``).  That count includes losses before full coverage.
 """
 
 from dataclasses import replace

@@ -85,15 +85,14 @@ class RunRecord:
     number of covered front vectors and, on mojzj for both algorithms, the
     largest inner level in the population (empty on other kinds).
 
-    ``coverage_violations`` counts each time a covered front vector leaves
-    the population.  A front vector first reached by an offspring that is
-    removed in its own iteration counts too, although no iteration ended
-    with it covered: omm n=8 at mu=3 (2000 iterations, seed 0) reads 981,
-    of which 140 are values held at an iteration's end.  Under the standard
-    update at auto mu no covered vector is lost.  Under the stochastic
-    update auto mu does not prevent losses: omm n=8 at mu=19 (seeds 0-9,
-    5000 iterations each, no stop at coverage) reads 274 in total, 2 of
-    them own-iteration removals.
+    ``coverage_violations`` counts the front vectors held at one
+    iteration's end and gone at the next; an offspring with a new front
+    vector that is removed in its own iteration was never held at an
+    iteration's end and counts nothing.  omm n=8 at mu=3 (2000 iterations,
+    seed 0) reads 140.  Under the standard update at auto mu no covered
+    vector is lost.  Under the stochastic update auto mu does not prevent
+    losses: omm n=8 at mu=19 (seeds 0-9, 5000 iterations each, no stop at
+    coverage) reads 272 in total.
 
     ``antichain_violations`` (GSEMO only) sums, over every vector set the
     archive takes, the pairs of its vectors in which one weakly dominates
@@ -288,6 +287,8 @@ def sms_emoa_run(
             sample = draws.sample(mu + 1, (mu + 1) // 2) if stochastic else None
             gone = selector.commit_removal(selector.choose_removal(draws, sample))
             if born or gone is not None:
+                if born and gone == cobj:
+                    continue  # the offspring's own slot left: no vector set changed
                 # added before the removal, as the offspring joined first
                 if born:
                     cov.add(cobj)

@@ -87,23 +87,26 @@ def front_indices(objectives: np.ndarray) -> list[np.ndarray]:
 
 
 def select_removal_index(
-    objectives: np.ndarray,
-    r: ReferencePoint,
+    vectors: Sequence[ObjectiveVector],
     rng: np.random.Generator,
     sample: Sequence[int] | None = None,
 ) -> int:
-    """Row index to remove from an (N, m) objective array: a last-front
-    member of least leave-one-out hypervolume, ties broken uniformly.
+    """Index to remove from the combined population's objective vectors: a
+    last-front member of least leave-one-out hypervolume, measured against
+    :func:`~emoabench.selection.default_reference_point`, ties broken
+    uniformly.
 
-    Sorting and contributions are restricted to the distinct rows listed in
-    ``sample``, in any order and with repeats (defaults to all rows).  Tied
-    candidates are listed in row order and one ``rng.integers`` draw picks
+    Sorting and contributions are restricted to the distinct indices listed
+    in ``sample``, in any order and with repeats (defaults to all).  Tied
+    candidates are listed in index order and one ``rng.integers`` draw picks
     among them, so :class:`~emoabench.selection.SteadyStateSelector` must
     make the same choice from the same RNG stream.
     """
-    rows = list(range(len(objectives))) if sample is None else sorted(set(sample))
-    last = [rows[i] for i in front_indices(objectives[rows])[-1]]
-    pts = [tuple(int(v) for v in objectives[i]) for i in last]
+    rows = list(range(len(vectors))) if sample is None else sorted(set(sample))
+    objectives = np.array([vectors[i] for i in rows], dtype=np.int64)
+    last = [rows[i] for i in front_indices(objectives)[-1]]
+    pts = [vectors[i] for i in last]
+    r = default_reference_point(len(pts[0]))
     total = hypervolume(pts, r)
     contribs = [total - hypervolume(pts[:i] + pts[i + 1 :], r) for i in range(len(pts))]
     best = min(contribs)
@@ -144,14 +147,14 @@ def _recounted_run(
     cfg: AlgorithmConfig,
     max_iters: int,
     start: list[tuple[int, ObjectiveVector]],
-    step: Callable[[], tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]],
+    step: Callable[[], list[tuple[int, ObjectiveVector]]],
 ) -> RunRecord:
     """The record of a run from ``start``, one (genome, vector) pair per
     start evaluation, whose iterations each call ``step()`` for the
-    offspring's vector and the population after it.  Coverage, losses, the
-    hitting time and the best inner level (from the genomes) are recounted
-    from the whole population after every iteration.  A loss is a front
-    vector held after the offspring joined and not after the iteration."""
+    population after it.  Coverage, losses, the hitting time and the best
+    inner level (from the genomes) are recounted from the whole population
+    after every iteration.  A loss is a front vector held at one
+    iteration's end and not at the next."""
     front = inst.pareto_front()
     population = start
     covered: set[ObjectiveVector] = set()
@@ -165,8 +168,7 @@ def _recounted_run(
             if hit is not None and cfg.stop_at_coverage:
                 break
             iterations = t
-            offspring, population = step()
-            covered |= {offspring} & front
+            population = step()
             max_pop = max(max_pop, len(population))
         now = {v for _, v in population} & front
         violations += len(covered - now)
@@ -199,16 +201,15 @@ def reference_sms_emoa_run(
 ) -> RunRecord:
     """The run of :func:`emoabench.algorithms.sms_emoa_run`, written plainly:
     the combined population is a list of mu + 1 (genome, vector) slots with
-    one free index, each removal is :func:`select_removal_index` on the whole
-    (mu + 1, m) array, and :func:`_recounted_run` recounts the mu survivors
-    after every iteration.  From the same RNG stream it must return an
-    equal record."""
+    one free index, each removal is :func:`select_removal_index` on the
+    vectors of all slots, and :func:`_recounted_run` recounts the mu
+    survivors after every iteration.  From the same RNG stream it must
+    return an equal record."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n = inst.n
     stochastic = cfg.update == "stochastic"
     mu, max_iters = run_limits(inst, cfg)
-    r = default_reference_point(inst.m)
     slots = []
     for _ in range(mu):
         genome = _random_genome(n, rng)
@@ -216,17 +217,15 @@ def reference_sms_emoa_run(
     slots.append((0, ()))  # the free slot, filled before it is read
     free = mu
 
-    def step() -> tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]:
+    def step() -> list[tuple[int, ObjectiveVector]]:
         nonlocal free
         survivors = [s for s in range(mu + 1) if s != free]
         parent = slots[survivors[int(rng.integers(mu))]][0]
         child = _mutate(cfg.mutation, parent, n, rng)
-        offspring = inst.evaluate_mask(child)
-        slots[free] = (child, offspring)
+        slots[free] = (child, inst.evaluate_mask(child))
         sample = rng.integers(mu + 1, size=(mu + 1) // 2).tolist() if stochastic else None
-        objectives = np.array([v for _, v in slots], dtype=np.int64)
-        free = int(select_removal_index(objectives, r, rng, sample))
-        return offspring, [slot for s, slot in enumerate(slots) if s != free]
+        free = select_removal_index([v for _, v in slots], rng, sample)
+        return [slot for s, slot in enumerate(slots) if s != free]
 
     return _recounted_run(inst, cfg, max_iters, slots[:mu], step)
 
@@ -248,15 +247,14 @@ def reference_gsemo_run(
     start = _random_genome(n, rng)
     archive = [(start, inst.evaluate_mask(start))]
 
-    def step() -> tuple[ObjectiveVector, list[tuple[int, ObjectiveVector]]]:
+    def step() -> list[tuple[int, ObjectiveVector]]:
         parent = archive[int(rng.integers(len(archive)))][0]
         child = _mutate(cfg.mutation, parent, n, rng)
         cobj = inst.evaluate_mask(child)
-        # a rejected child is strictly dominated, so never on the front
         if not any(dominates(v, cobj) for _, v in archive):
             archive[:] = [(g, v) for g, v in archive if not weakly_dominates(cobj, v)]
             archive.append((child, cobj))
-        return cobj, archive
+        return archive
 
     return _recounted_run(inst, cfg, max_iters, list(archive), step)
 
@@ -271,17 +269,12 @@ def verify_antichain(vectors: Sequence[ObjectiveVector]) -> bool:
     )
 
 
-def random_antichain(
-    rng: np.random.Generator,
-    size: int,
-    m: int,
-    coord_max: int = 20,
-) -> list[ObjectiveVector]:
+def random_antichain(rng: np.random.Generator, size: int, m: int) -> list[ObjectiveVector]:
     """Greedy random antichain of at most ``size`` vectors with coordinates
-    in [0..coord_max]."""
+    in [0..20]."""
     out: list[ObjectiveVector] = []
     for _ in range(50 * size):
-        v = tuple(int(c) for c in rng.integers(0, coord_max + 1, size=m))
+        v = tuple(int(c) for c in rng.integers(0, 21, size=m))
         if all(incomparable(v, u) for u in out):
             out.append(v)
             if len(out) == size:

@@ -180,13 +180,12 @@ class SteadyStateSelector:
     offspring whose vector is indexed, and a removal that leaves its vector
     present, change only slot state.  The constructor enters the members,
     slot by slot, through :meth:`set_offspring`'s code.  Contributions are
-    measured against ``r``, the fixed all-(-1) :func:`default_reference_point`.
+    measured against the fixed all-(-1) :func:`default_reference_point`.
     """
 
-    __slots__ = ("r", "index", "slots", "vid", "live", "dups", "free")
+    __slots__ = ("index", "slots", "vid", "live", "dups", "free")
 
     def __init__(self, members: Sequence[ObjectiveVector], index: ValueIndex):
-        self.r = default_reference_point(len(index.at))
         self.index = index
         self.slots: list[int] = []
         self.vid = [0] * (len(members) + 1)
@@ -275,8 +274,9 @@ class SteadyStateSelector:
         members = _bits(single)
         if len(members) == 1:
             return members[0]
-        vecs = self.index.vecs
-        pick = min_contribution_indices([vecs[self.vid[s]] for s in members], self.r)
+        index = self.index
+        pts = [index.vecs[self.vid[s]] for s in members]
+        pick = min_contribution_indices(pts, default_reference_point(len(index.at)))
         return members[pick[draws.below(len(pick))]]
 
     def commit_removal(self, removed: int) -> ObjectiveVector | None:

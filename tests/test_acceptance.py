@@ -87,7 +87,7 @@ def test_criterion_02_hypervolume_exactness():
     rng = np.random.default_rng(11)
     for trial in range(1000):
         m = int(rng.integers(2, 7))
-        pts = random_antichain(rng, int(rng.integers(1, 11)), m, coord_max=20)
+        pts = random_antichain(rng, int(rng.integers(1, 11)), m)
         r = default_reference_point(m)
         assert hypervolume(pts, r) == hv_inclusion_exclusion(pts, r), f"trial {trial}"
     elapsed = time.perf_counter() - start
@@ -102,7 +102,7 @@ def test_criterion_03_zero_contribution_iff_duplicate():
     rng = np.random.default_rng(12)
     for trial in range(1000):
         m = int(rng.integers(2, 5))
-        base = random_antichain(rng, int(rng.integers(2, 8)), m, coord_max=20)
+        base = random_antichain(rng, int(rng.integers(2, 8)), m)
         extra = [base[int(rng.integers(len(base)))] for _ in range(int(rng.integers(1, 4)))]
         pts = base + extra
         counts = {}

@@ -64,7 +64,7 @@ def assert_index_definitions(sel, members):
     # the slot list may stop short of ids given out after it last grew
     assert sel.slots == held[: len(sel.slots)] and not any(held[len(sel.slots) :])
     assert sel.live == sum(1 << i for i in ids if held[i])
-    for c in range(len(sel.r)):
+    for c in range(len(index.at)):
         width = len(index.at[c])
         assert width > max(v[c] for v in vecs)
         assert index.at[c] == [sum(1 << i for i in ids if vecs[i][c] == v) for v in range(width)]
@@ -172,16 +172,13 @@ class TestHypervolume:
 class TestRemovalChoice:
     def test_removes_from_last_front_only(self):
         # (0,0) is strictly behind; it must always be removed
-        objs = np.array([[2, 2], [0, 0], [3, 1]], dtype=np.int64)
+        objs = [(2, 2), (0, 0), (3, 1)]
         for seed in range(20):
-            assert select_removal_index(objs, (-1, -1), np.random.default_rng(seed)) == 1
+            assert select_removal_index(objs, np.random.default_rng(seed)) == 1
 
     def test_uniform_among_tied_minima(self):
-        objs = np.array([[1, 1], [1, 1], [0, 3]], dtype=np.int64)
-        counts = Counter(
-            select_removal_index(objs, (-1, -1), np.random.default_rng(s))
-            for s in range(400)
-        )
+        objs = [(1, 1), (1, 1), (0, 3)]
+        counts = Counter(select_removal_index(objs, np.random.default_rng(s)) for s in range(400))
         assert set(counts) == {0, 1}
         assert min(counts.values()) > 120
 
@@ -234,13 +231,11 @@ class TestSteadyStateSelector:
             m = int(rng.integers(2, 5))
             size = int(rng.integers(2, 10))
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
-            arr = np.array(pts, dtype=np.int64)
-            r = default_reference_point(m)
-            sel = SteadyStateSelector(pts[:-1], ValueIndex(len(r)))
+            sel = SteadyStateSelector(pts[:-1], ValueIndex(m))
             sel.set_offspring(pts[-1])
             for s in range(40):
                 a = choose(sel, np.random.default_rng(s))
-                b = select_removal_index(arr, r, np.random.default_rng(s))
+                b = select_removal_index(pts, np.random.default_rng(s))
                 assert a == b
 
     def test_matches_reference_on_sampled_subset(self):
@@ -249,15 +244,13 @@ class TestSteadyStateSelector:
             m = int(rng.integers(2, 4))
             size = int(rng.integers(3, 10))
             pts = [tuple(map(int, rng.integers(0, 6, size=m))) for _ in range(size)]
-            arr = np.array(pts, dtype=np.int64)
-            r = default_reference_point(m)
-            sel = SteadyStateSelector(pts[:-1], ValueIndex(len(r)))
+            sel = SteadyStateSelector(pts[:-1], ValueIndex(m))
             sel.set_offspring(pts[-1])
             sub = rng.integers(0, size, size=max(1, size // 2)).tolist()
             for s in range(30):
                 a = choose(sel, np.random.default_rng(s), sub)
-                # the reference returns the index in the full array already
-                b = select_removal_index(arr, r, np.random.default_rng(s), sub)
+                # the reference returns the index in the full list already
+                b = select_removal_index(pts, np.random.default_rng(s), sub)
                 assert a == b
 
     def test_setup_matches_definitions(self):
@@ -316,7 +309,6 @@ class TestSteadyStateSelector:
                 assert_index_definitions(sel, everyone & ~(1 << sel.free))
 
     def test_dead_ids_are_revived_not_reused(self):
-        r = (-1, -1)
         sel = SteadyStateSelector([(1, 1), (0, 2), (0, 2)], ValueIndex(2))
         index = sel.index
 
@@ -358,11 +350,10 @@ class TestSteadyStateSelector:
         assert index.vecs == [(1, 1), (0, 2), (2, 0), (3, 0), (1, 3)] and sel.vid[1] == 4
         assert index.dominated == 0b00111
         assert_index_definitions(sel, 0b1111)
-        arr = np.array(slot_vectors(sel), dtype=np.int64)
         for s in range(20):
             # the last front {(0, 2), (2, 0)} is decided by hypervolume
             assert choose(sel, np.random.default_rng(s)) == select_removal_index(
-                arr, r, np.random.default_rng(s)
+                slot_vectors(sel), np.random.default_rng(s)
             )
 
     def test_construction_makes_no_public_insert(self, monkeypatch):
@@ -407,13 +398,17 @@ class TestSteadyStateSelector:
         # (0, 6) contributes least at (-1, -1), (0, 6) and (2, 3) tie at
         # (-2, -2), and (2, 3) contributes least at (-10, -10)
         members = [(0, 6), (2, 3)]
-        arr = np.array(members + [(6, 0)], dtype=np.int64)
         sel = SteadyStateSelector(members, ValueIndex(2))
         sel.set_offspring((6, 0))
-        assert sel.r == default_reference_point(2) == (-1, -1)
+        assert default_reference_point(2) == (-1, -1)
         for s in range(10):
             assert choose(sel, np.random.default_rng(s)) == 0
-            assert select_removal_index(arr, sel.r, np.random.default_rng(s)) == 0
+            assert select_removal_index(members + [(6, 0)], np.random.default_rng(s)) == 0
+
+    def test_keeps_no_reference_point(self):
+        # the point is a constant of m, computed where a hypervolume needs it
+        sel = SteadyStateSelector([(0, 2), (2, 0)], ValueIndex(2))
+        assert "r" not in SteadyStateSelector.__slots__ and not hasattr(sel, "r")
 
     def test_negative_objective_values_rejected(self):
         # the value index is addressed by objective value
@@ -452,7 +447,6 @@ class TestSteadyStateSelector:
         assert (fields(sel), fields(other)) == before
 
     def test_two_selectors_on_one_index(self):
-        r = (-1, -1, -1)
         index = ValueIndex(3)
         a = SteadyStateSelector([(0, 2, 1), (1, 1, 1), (0, 2, 1)], index)
         # b enters (2, 0, 0), (3, 0, 0) and then (0, 0, 3) after a last grew
@@ -481,9 +475,7 @@ class TestSteadyStateSelector:
                 sample = rng.integers(len(pop), size=len(pop) // 2).tolist()
             seed = int(rng.integers(2**32))
             removed = choose(sel, np.random.default_rng(seed), sample)
-            expected = select_removal_index(
-                np.array(pop, dtype=np.int64), r, np.random.default_rng(seed), sample
-            )
+            expected = select_removal_index(pop, np.random.default_rng(seed), sample)
             assert removed == expected, f"step {step}"
             sel.commit_removal(removed)
             assert_index_definitions(sel, (1 << len(pop)) - 1 & ~(1 << removed))
@@ -504,7 +496,6 @@ class TestSteadyStateSelector:
         pop = data.draw(st.lists(vec, min_size=size, max_size=size), label="population")
         sampled = data.draw(st.booleans(), label="sampled")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        r = default_reference_point(m)
         sel = SteadyStateSelector(pop[:-1], ValueIndex(m))
         sel.set_offspring(pop[-1])
         sel_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -515,7 +506,7 @@ class TestSteadyStateSelector:
                     st.lists(st.integers(0, size - 1), min_size=size // 2, max_size=size // 2)
                 )
             a = choose(sel, sel_rng, sample)
-            b = select_removal_index(np.array(pop, dtype=np.int64), r, ref_rng, sample)
+            b = select_removal_index(pop, ref_rng, sample)
             assert a == b, f"step {step}"
             sel.commit_removal(a)
             pop[a] = data.draw(vec)
